@@ -33,7 +33,6 @@ from .errors import (  # noqa: F401
 from .exact import (  # noqa: F401
     BiPoly,
     GoldenNumber,
-    Partition,
     Rational,
     UniPoly,
     bipoly_substitute,

@@ -271,19 +271,30 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for --max-degree: a series truncation of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line in one stderr line, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coxcat",
         description="Exact computations for finite Coxeter groups: full "
         "reflections, root-poset antichains, cluster complexes, arrangement "
         "characters, and the power-sum series pipeline.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="K",
-        help="accepted for interface compatibility; results never depend on it",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -314,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_os.set_defaults(func=cmd_os_character)
 
     p_gerst = sub.add_parser("gerst", help="power-sum series pipeline and identities")
-    p_gerst.add_argument("--max-degree", type=int, default=7, metavar="N")
+    p_gerst.add_argument("--max-degree", type=_positive_int, default=7, metavar="N")
     p_gerst.add_argument("--json", action="store_true")
     p_gerst.set_defaults(func=cmd_gerst)
 
@@ -322,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("check", choices=CHECK_NAMES + ("all",))
     p_verify.add_argument("type", metavar="TYPE")
     p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--max-degree", type=int, default=7, metavar="N")
+    p_verify.add_argument("--max-degree", type=_positive_int, default=7, metavar="N")
     p_verify.add_argument("--allow-large", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -10,7 +10,7 @@ of the complex are exactly the cliques of that relation.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Tuple
+from typing import Tuple
 
 from . import kernels
 from .errors import (
@@ -131,10 +131,6 @@ class ClusterComplex:
         for (k, l, _), c in raw.items():
             out[(k, l)] = out.get((k, l), 0) + c
         return out
-
-    def iter_faces(self) -> Iterator[tuple]:
-        for mask in kernels.iter_cliques(self.adjacency):
-            yield tuple(v for v in range(self.n_vertices) if (mask >> v) & 1)
 
     def maximal_face_count(self) -> Tuple[int, int]:
         """(number of maximal faces, minimum size among them)."""

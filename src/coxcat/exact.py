@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DegreeOverflow, NotDivisible
 
@@ -25,10 +25,6 @@ def format_rational(q: Fraction) -> str:
     """Render a rational as the canonical "num/den" string."""
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
 
 
 class GoldenNumber:
@@ -166,8 +162,6 @@ class GoldenNumber:
         return f"G({self.a} + {self.b}*phi)"
 
 
-GOLDEN_ZERO = GoldenNumber(0)
-GOLDEN_ONE = GoldenNumber(1)
 PHI = GoldenNumber(0, 1)
 
 
@@ -288,15 +282,8 @@ class UniPoly:
             out[k * d] = c
         return UniPoly(out)
 
-    def truncate(self, degree: int) -> "UniPoly":
-        return UniPoly(self.coeffs[: degree + 1])
-
     def to_json(self) -> dict:
         return {"coeffs": [format_rational(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(data: Mapping) -> "UniPoly":
-        return UniPoly(tuple(parse_rational(s) for s in data["coeffs"]))
 
     def __repr__(self):
         if self.is_zero():
@@ -429,19 +416,6 @@ class BiPoly:
             total += c * x ** k * y ** l
         return total
 
-    def substitute_y(self, y: Scalar) -> "BiPoly":
-        """Collapse the y variable to a scalar, keeping the x grading."""
-        out: dict = {}
-        y = Fraction(y)
-        for (k, l), c in self.terms.items():
-            val = c * y ** l
-            if val:
-                out[(k, 0)] = out.get((k, 0), Fraction(0)) + val
-        return BiPoly(out)
-
-    def x_degree(self) -> int:
-        return max((k for (k, _) in self.terms), default=-1)
-
     def reverse_x(self, n: int) -> "BiPoly":
         """Return x**n * P(1/x, y); requires every x-degree to be at most n."""
         if any(k > n for (k, _) in self.terms):
@@ -457,10 +431,6 @@ class BiPoly:
                 [k, l, format_rational(c)] for (k, l), c in self.sorted_terms()
             ]
         }
-
-    @staticmethod
-    def from_json(data: Mapping) -> "BiPoly":
-        return BiPoly({(k, l): parse_rational(c) for k, l, c in data["terms"]})
 
     def __repr__(self):
         if self.is_zero():
@@ -503,67 +473,6 @@ def bipoly_substitute(f: BiPoly, n: int) -> BiPoly:
 
 
 PartitionTuple = tuple
-
-
-class Partition:
-    """An integer partition as a weakly decreasing tuple of positive parts."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(sorted((int(p) for p in parts), reverse=True))
-        if any(p <= 0 for p in ps):
-            raise ValueError("parts must be positive")
-        object.__setattr__(self, "parts", ps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def multiplicity(self, k: int) -> int:
-        return self.parts.count(k)
-
-    @property
-    def m1(self) -> int:
-        """Number of parts equal to 1."""
-        return self.parts.count(1)
-
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        return Partition(
-            sum(1 for p in self.parts if p > i) for i in range(self.parts[0])
-        )
-
-    def centralizer_order(self) -> int:
-        """z_lambda = prod over part values i of i^m_i * m_i!."""
-        return centralizer_order(self.parts)
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
 
 
 def centralizer_order(parts: Sequence[int]) -> int:

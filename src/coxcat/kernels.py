@@ -1,26 +1,18 @@
-"""Kernel dispatch: compiled clique tally when available, pure Python otherwise.
+"""Clique enumeration over bitmask adjacency.
 
-Set COXCAT_PURE_KERNELS=1 to force the fallback.  The compiled kernel is
-limited to 128 vertices and edge masks below 2**20; larger inputs silently
-use the fallback, so callers never need to care.
+Vertices are 0..n-1; adj[v] is an int bitmask of the neighbours of v
+(irreflexive, symmetric).  Cliques are enumerated once each by always
+extending with a vertex of higher index than all current members.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
-from . import _kernels_py
-from ._kernels_py import iter_cliques  # noqa: F401  (re-exported)
+TallyKey = Tuple[int, int, int]
 
-_compiled = None
-if not os.environ.get("COXCAT_PURE_KERNELS"):
-    try:
-        from . import _kernels as _compiled  # type: ignore[no-redef]
-    except ImportError:
-        _compiled = None
-
-USING_COMPILED = _compiled is not None
+# Kept because perfbench's setup probe records it; there is no compiled kernel.
+USING_COMPILED = False
 
 
 def clique_tally(
@@ -28,12 +20,45 @@ def clique_tally(
     special_mask: int,
     edge_masks: Sequence[int],
     max_size: int,
-) -> Dict[Tuple[int, int, int], int]:
-    """Count cliques by (plain, special, edge-mask union); see _kernels_py."""
-    if (
-        _compiled is not None
-        and len(adj) <= 128
-        and all(e < (1 << 20) for e in edge_masks)
-    ):
-        return _compiled.clique_tally(list(adj), special_mask, list(edge_masks), max_size)
-    return _kernels_py.clique_tally(adj, special_mask, edge_masks, max_size)
+) -> Dict[TallyKey, int]:
+    """Count every clique (the empty one included).
+
+    Keys are (plain members, special members, OR of the members' edge masks),
+    where "special" means the vertex is in special_mask.  Raises ValueError
+    if a clique exceeds max_size members.
+    """
+    n = len(adj)
+    counts: Dict[TallyKey, int] = {}
+
+    def rec(cand: int, j: int, l: int, em: int) -> None:
+        if j + l > max_size:
+            raise ValueError(f"clique larger than the stated bound {max_size}")
+        key = (j, l, em)
+        counts[key] = counts.get(key, 0) + 1
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            rest = cand & adj[v]
+            if (special_mask >> v) & 1:
+                rec(rest, j, l + 1, em | edge_masks[v])
+            else:
+                rec(rest, j + 1, l, em | edge_masks[v])
+
+    rec((1 << n) - 1, 0, 0, 0)
+    return counts
+
+
+def iter_cliques(adj: Sequence[int]) -> Iterator[int]:
+    """Yield every clique as a member bitmask, the empty clique first."""
+    n = len(adj)
+
+    def rec(members: int, cand: int) -> Iterator[int]:
+        yield members
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            yield from rec(members | low, cand & adj[v])
+
+    yield from rec(0, (1 << n) - 1)

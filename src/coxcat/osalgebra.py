@@ -328,9 +328,14 @@ def quotient_traces(gc: GradedCharacter, index: int) -> List[Fraction]:
 def verify_main_conjecture(rs: RootSystem) -> dict:
     """Class-by-class check of chi_R * chi_G' = (-1)^(n-1) f_W chi_Reg."""
     group = generate_group(rs)
-    gc = os_graded_character(rs, group)
-    chi_r = chi_R(rs, group.classes)
-    chi_gp = g_prime_character(gc)
+    chi_gp = g_prime_character(os_graded_character(rs, group))
+    return _check_main_classes(rs, group, chi_R(rs, group.classes), chi_gp)
+
+
+def _check_main_classes(
+    rs: RootSystem, group: GroupData, chi_r: Sequence[int], chi_gp: Sequence[Fraction]
+) -> dict:
+    """The class-by-class loop of verify_main_conjecture, on values already built."""
     f_count = rs.full_reflection_count()
     n = rs.rank
     identity = rs.identity_table()
@@ -441,5 +446,5 @@ def check_dihedral(rs: RootSystem) -> dict:
                 "g_prime": chi_gp[idx],
             }
         )
-    report["main"] = verify_main_conjecture(rs)
+    report["main"] = _check_main_classes(rs, group, chi_r, chi_gp)
     return report

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from . import kernels
-from .errors import LemmaViolation, NonCrystallographic
+from .errors import CapacityExceeded, LemmaViolation, NonCrystallographic
 from .exact import BiPoly
 from .rootsys import RootSystem, build_root_system
 
@@ -30,7 +30,9 @@ class RootPoset:
         if not rs.crystallographic:
             raise NonCrystallographic(f"{rs.label} has no integer root poset")
         if rs.rank > _RANK_CAP:
-            raise ValueError(f"rank {rs.rank} exceeds the enumeration cap {_RANK_CAP}")
+            raise CapacityExceeded(
+                f"{rs.label}: rank {rs.rank} exceeds the antichain enumeration cap {_RANK_CAP}"
+            )
         self.rs = rs
         self.nodes = frozenset(range(rs.rank)) if nodes is None else nodes
         self.root_ids = [

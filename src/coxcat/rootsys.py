@@ -16,10 +16,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .errors import InvariantBroken, UnsupportedType
-from .exact import GoldenNumber, PHI
+from .exact import GoldenNumber, PHI, conjugate_partition
 
 _LABEL_RE = re.compile(r"^([A-H])(\d+)$|^I2\((\d+)\)$")
 
@@ -293,7 +293,7 @@ class RootSystem:
             parts = [counts[h] for h in sorted(counts)]
             if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
                 raise InvariantBroken("height distribution is not a partition")
-            conj = _conjugate(parts)
+            conj = conjugate_partition(parts)
             self.exponents = tuple(sorted(conj))
         else:
             self.exponents = _H_EXPONENTS[self.rank]
@@ -435,13 +435,6 @@ class RootSystem:
         for e in self.exponents[1:]:
             prod *= e - 1
         return Fraction(self.rank * self.coxeter_number * prod, self.order)
-
-
-def _conjugate(parts: Sequence[int]) -> tuple:
-    ps = sorted((p for p in parts if p > 0), reverse=True)
-    if not ps:
-        return ()
-    return tuple(sum(1 for p in ps if p > i) for i in range(ps[0]))
 
 
 def _dihedral_elements(rs: RootSystem) -> list:

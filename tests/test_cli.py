@@ -161,6 +161,29 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2  # non-crystallographic
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("antichains", "A9"),
+        ("gerst", "--max-degree", "0"),
+        ("gerst", "--max-degree", "-1"),
+        ("verify", "gerst", "A2", "--max-degree", "0"),
+        ("--threads", "4", "table", "A2"),
+    ],
+)
+def test_out_of_range_requests_exit_two_in_one_line(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the command line itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("coxcat")
+    assert captured.err.count("\n") == 1, captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_fpoly_allow_large_override(capsys):
     code, _, _ = run_cli(capsys, "fpoly", "A7", "--json")
     assert code == 2
@@ -189,11 +212,6 @@ def test_gerst_text_output(capsys):
     assert code == 0
     assert "[PASS] gerst -" in out
     assert "[PASS] bonzero -" in out
-
-
-def test_threads_flag_is_accepted(capsys):
-    code, _, _ = run_cli(capsys, "--threads", "4", "table", "A2")
-    assert code == 0
 
 
 def test_rationals_never_rendered_as_floats(capsys):

@@ -10,7 +10,6 @@ from coxcat.errors import DegreeOverflow, NotDivisible
 from coxcat.exact import (
     BiPoly,
     GoldenNumber,
-    Partition,
     UniPoly,
     bipoly_substitute,
     centralizer_order,
@@ -172,17 +171,13 @@ class TestPartitions:
                 Fraction(1, centralizer_order(lam)) for lam in partitions_of(n)
             )
             assert total == Fraction(1), "class sizes must fill the group"
+        assert centralizer_order((2, 1, 1)) == 4
 
     def test_conjugate_involution(self):
+        assert conjugate_partition((2, 1, 1)) == (3, 1)
+        assert conjugate_partition((3, 0, 1, 2)) == (3, 2, 1)
         for lam in partitions_of(6):
             assert conjugate_partition(conjugate_partition(lam)) == lam
-
-    def test_partition_class(self):
-        lam = Partition((2, 1, 1))
-        assert lam.size == 4
-        assert lam.m1 == 2
-        assert lam.centralizer_order() == 4
-        assert lam.conjugate() == Partition((3, 1))
 
 
 def test_format_rational_always_slash():

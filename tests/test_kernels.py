@@ -1,13 +1,11 @@
-"""Clique tally kernels: pure fallback versus compiled extension."""
+"""Clique kernels against brute-force subset enumeration."""
 
 import itertools
 import random
 
 import pytest
 
-from coxcat import kernels
-from coxcat._kernels_py import clique_tally as pure_clique_tally
-from coxcat._kernels_py import iter_cliques
+from coxcat.kernels import clique_tally, iter_cliques
 
 
 def brute_force_tally(adj, special_mask, edge_masks, max_size):
@@ -50,48 +48,23 @@ def test_pure_kernel_matches_brute_force(seed):
     special_mask = rng.getrandbits(n) if n else 0
     edge_masks = [rng.getrandbits(4) for _ in range(n)]
     expected = brute_force_tally(adj, special_mask, edge_masks, n)
-    assert pure_clique_tally(adj, special_mask, edge_masks, n) == expected
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_compiled_kernel_matches_pure(seed):
-    if not kernels.USING_COMPILED:
-        pytest.skip("compiled kernel not available")
-    from coxcat import _kernels
-
-    rng = random.Random(1000 + seed)
-    n = rng.randint(1, 70)  # crosses the one-word/two-word boundary
-    adj = random_graph(rng, n, 0.25)
-    special_mask = rng.getrandbits(n)
-    edge_masks = [rng.getrandbits(6) for _ in range(n)]
-    assert _kernels.clique_tally(adj, special_mask, edge_masks, n) == pure_clique_tally(
-        adj, special_mask, edge_masks, n
-    )
+    assert clique_tally(adj, special_mask, edge_masks, n) == expected
 
 
 def test_empty_graph():
-    assert pure_clique_tally([], 0, [], 0) == {(0, 0, 0): 1}
-    if kernels.USING_COMPILED:
-        from coxcat import _kernels
-
-        assert _kernels.clique_tally([], 0, [], 0) == {(0, 0, 0): 1}
+    assert clique_tally([], 0, [], 0) == {(0, 0, 0): 1}
 
 
 def test_max_size_bound_enforced():
     adj = [2, 1]  # a single edge
     with pytest.raises(ValueError):
-        pure_clique_tally(adj, 0, [0, 0], 1)
-    if kernels.USING_COMPILED:
-        from coxcat import _kernels
-
-        with pytest.raises(ValueError):
-            _kernels.clique_tally(adj, 0, [0, 0], 1)
+        clique_tally(adj, 0, [0, 0], 1)
 
 
-def test_dispatcher_falls_back_above_limits():
-    # 129 isolated vertices exceed the compiled 128-vertex cap
+def test_wide_graph_beyond_two_machine_words():
+    # 129 isolated vertices: adjacency masks wider than two 64-bit words
     adj = [0] * 129
-    counts = kernels.clique_tally(adj, 0, [0] * 129, 129)
+    counts = clique_tally(adj, 0, [0] * 129, 129)
     assert counts[(0, 0, 0)] == 1
     assert counts[(1, 0, 0)] == 129
     assert (2, 0, 0) not in counts

@@ -132,6 +132,24 @@ def test_dihedral_report_odd():
         assert entry["g_prime"] == 1
 
 
+@pytest.mark.parametrize("m", [5, 6])
+def test_dihedral_report_builds_group_once(monkeypatch, m):
+    import coxcat.osalgebra as osalgebra
+
+    rs = build_root_system(f"I2({m})")
+    calls = []
+
+    def counting_generate_group(rs_arg):
+        calls.append(rs_arg.label)
+        return generate_group(rs_arg)
+
+    monkeypatch.setattr(osalgebra, "generate_group", counting_generate_group)
+    report = check_dihedral(rs)
+    assert calls == [rs.label]
+    monkeypatch.undo()
+    assert report["main"] == verify_main_conjecture(rs)
+
+
 def test_dims_invariant_under_hyperplane_reordering():
     for label in ("A3", "B3"):
         rs = build_root_system(label)
