@@ -15,20 +15,10 @@ __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
     CapacityExceeded,
-    ConjectureFails,
-    ConstantTermInInner,
+    CheckFailed,
     CoxcatError,
-    DegreeOverflow,
-    GroupTooLarge,
-    IdentityFails,
-    InvariantBroken,
-    LemmaFails,
-    LemmaViolation,
-    NeitherMatches,
-    NonCrystallographic,
-    NonTermination,
-    NotDivisible,
-    UnsupportedType,
+    InternalError,
+    UsageError,
 )
 from .exact import (  # noqa: F401
     BiPoly,

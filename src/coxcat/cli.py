@@ -16,17 +16,17 @@ import sys
 from fractions import Fraction
 from typing import List
 
-from .errors import (
-    CapacityExceeded,
-    GroupTooLarge,
-    NonCrystallographic,
-    UnsupportedType,
-)
+from .errors import UsageError
 from .exact import format_rational
+from .groups import generate_group
+from .osalgebra import os_graded_character
+from .poset import enumerate_antichains
 from .reports import CHECK_NAMES, expected_full_count, jsonable, run_all_checks, run_check
 from .rootsys import build_root_system
+from .symfunc import calibrated_bundle
 
-_USAGE_ERRORS = (UnsupportedType, CapacityExceeded, GroupTooLarge, NonCrystallographic)
+# artefacts memoized per root system (or truncation) and shared between checks
+_SHARED_ARTEFACTS = (generate_group, os_graded_character, enumerate_antichains, calibrated_bundle)
 
 
 def _emit_json(payload) -> None:
@@ -115,12 +115,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_antichains(args) -> int:
-    from .poset import (
-        enumerate_antichains,
-        h_polynomial,
-        narayana_polynomial,
-        p_polynomial_direct,
-    )
+    from .poset import h_polynomial, narayana_polynomial, p_polynomial_direct
 
     rs = build_root_system(args.type)
     tally = enumerate_antichains(rs)
@@ -146,11 +141,11 @@ def cmd_antichains(args) -> int:
 
 
 def cmd_fpoly(args) -> int:
-    from .cluster import ClusterComplex, f_polynomial
+    from .cluster import ClusterComplex
 
     rs = build_root_system(args.type)
-    f_poly = f_polynomial(rs, allow_large=args.allow_large)
     complex_ = ClusterComplex(rs, allow_large=args.allow_large)
+    f_poly = complex_.f_tally()
     n_max, min_size = complex_.maximal_face_count()
     if args.json:
         _emit_json(
@@ -170,8 +165,7 @@ def cmd_fpoly(args) -> int:
 
 
 def cmd_os_character(args) -> int:
-    from .groups import generate_group
-    from .osalgebra import g_prime_character, os_graded_character
+    from .osalgebra import g_prime_character
 
     rs = build_root_system(args.type)
     group = generate_group(rs)
@@ -207,7 +201,7 @@ def cmd_os_character(args) -> int:
 
 def cmd_gerst(args) -> int:
     from .exact import centralizer_order, partitions_of
-    from .symfunc import calibrated_bundle, class_value
+    from .symfunc import class_value
 
     max_degree = args.max_degree
     bundle = calibrated_bundle(max_degree + 2)
@@ -343,9 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: List[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # one command line builds its own artefacts, also when main runs twice in a process
+    for cached in _SHARED_ARTEFACTS:
+        cached.cache_clear()
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except UsageError as exc:
         print(f"coxcat: {exc}", file=sys.stderr)
         return 2
 

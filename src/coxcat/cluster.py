@@ -13,21 +13,15 @@ from functools import lru_cache
 from typing import Tuple
 
 from . import kernels
-from .errors import (
-    CapacityExceeded,
-    ConjectureFails,
-    InvariantBroken,
-    NonCrystallographic,
-    NonTermination,
-)
+from .errors import CapacityExceeded, CheckFailed, InternalError, UsageError
 from .exact import BiPoly, bipoly_substitute
-from .poset import RootPoset, AntichainTally, h_polynomial
+from .poset import enumerate_antichains, h_polynomial
 from .rootsys import RootSystem
 
 
 def _check_crystallographic(rs: RootSystem) -> None:
     if not rs.crystallographic:
-        raise NonCrystallographic(f"{rs.label}: cluster complex needs integer coordinates")
+        raise UsageError(f"{rs.label}: cluster complex needs integer coordinates")
 
 
 @lru_cache(maxsize=None)
@@ -50,12 +44,6 @@ def vertex_count(rs: RootSystem) -> int:
     return rs.rank + rs.n_positive
 
 
-def vertex_name(rs: RootSystem, v: int) -> str:
-    if v < rs.rank:
-        return f"-alpha{v + 1}"
-    return rs.root_name(v - rs.rank)
-
-
 def tau_map(rs: RootSystem, eps: int, v: int) -> int:
     """Rotation map on vertices; eps is +1 or -1 picking the bipartition half."""
     _check_crystallographic(rs)
@@ -74,7 +62,7 @@ def tau_map(rs: RootSystem, eps: int, v: int) -> int:
     for i in range(n):
         if rs.simple_positions[i] == j:
             return i
-    raise InvariantBroken(f"{rs.label}: tau image is a non-simple negative root")
+    raise InternalError(f"{rs.label}: tau image is a non-simple negative root")
 
 
 def compatibility_degree(rs: RootSystem, u: int, v: int) -> int:
@@ -86,7 +74,7 @@ def compatibility_degree(rs: RootSystem, u: int, v: int) -> int:
     steps = 0
     while u >= n:
         if steps >= bound:
-            raise NonTermination(f"{rs.label}: compatibility rotation exceeded {bound}")
+            raise InternalError(f"{rs.label}: compatibility rotation exceeded {bound}")
         u = tau_map(rs, eps, u)
         v = tau_map(rs, eps, v)
         eps = -eps
@@ -119,8 +107,8 @@ class ClusterComplex:
                     self.adjacency[u] |= 1 << v
                     self.adjacency[v] |= 1 << u
 
-    def f_tally(self) -> dict:
-        """Counts of faces keyed by (#positive vertices, #negative simples)."""
+    def f_tally(self) -> BiPoly:
+        """F(x, y): face counts by x^(#positive vertices) y^(#negative simples)."""
         raw = kernels.clique_tally(
             self.adjacency,
             special_mask=(1 << self.rs.rank) - 1,
@@ -130,7 +118,7 @@ class ClusterComplex:
         out: dict = {}
         for (k, l, _), c in raw.items():
             out[(k, l)] = out.get((k, l), 0) + c
-        return out
+        return BiPoly(out)
 
     def maximal_face_count(self) -> Tuple[int, int]:
         """(number of maximal faces, minimum size among them)."""
@@ -150,19 +138,17 @@ class ClusterComplex:
 
 def f_polynomial(rs: RootSystem, allow_large: bool = False) -> BiPoly:
     """F(x, y) = sum of x^(positive vertices) y^(negative simples) over faces."""
-    complex_ = ClusterComplex(rs, allow_large=allow_large)
-    return BiPoly({(k, l): c for (k, l), c in complex_.f_tally().items()})
+    return ClusterComplex(rs, allow_large=allow_large).f_tally()
 
 
 def verify_hf_conjecture(rs: RootSystem, allow_large: bool = False) -> dict:
     """Check H(x,y) = (1-x)^n F(x/(1-x), xy/(1-x)) exactly."""
-    tally = AntichainTally.from_poset(RootPoset(rs))
-    h_poly = h_polynomial(tally)
+    h_poly = h_polynomial(enumerate_antichains(rs))
     f_poly = f_polynomial(rs, allow_large=allow_large)
     transformed = bipoly_substitute(f_poly, rs.rank)
     if transformed != h_poly:
         diff = transformed - h_poly
-        raise ConjectureFails(
+        raise CheckFailed(
             f"{rs.label}: H != transformed F; difference terms {diff.sorted_terms()}"
         )
     return {"h": h_poly, "f": f_poly, "transformed": transformed}

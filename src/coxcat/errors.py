@@ -1,61 +1,25 @@
-"""Exception types raised across the package."""
+"""Exception types, one per exit code of the command line.
+
+UsageError (and its CapacityExceeded) means exit 2, CheckFailed exit 1;
+InternalError is a bug and propagates.
+"""
 
 
 class CoxcatError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotDivisible(CoxcatError):
-    """Exact polynomial division left a nonzero remainder."""
+class UsageError(CoxcatError):
+    """The request is invalid: an unknown label or an unsupported operation for the type."""
 
 
-class DegreeOverflow(CoxcatError):
-    """A polynomial term exceeds the degree budget of a substitution."""
+class CapacityExceeded(UsageError):
+    """The request is beyond a documented capacity limit of an exact computation."""
 
 
-class UnsupportedType(CoxcatError):
-    """The Cartan type label is unknown or out of the supported range."""
+class CheckFailed(CoxcatError):
+    """A checked identity or lemma does not hold; the message carries the witness."""
 
 
-class NonCrystallographic(CoxcatError):
-    """Operation requires integer root coordinates (not available for H/I types)."""
-
-
-class LemmaViolation(CoxcatError):
-    """A checked lemma failed; the message names the clause and a witness."""
-
-
-class InvariantBroken(CoxcatError):
-    """An internal structural invariant failed; indicates a bug, not bad input."""
-
-
-class NonTermination(CoxcatError):
-    """An iteration exceeded its proven bound; indicates a bug, not bad input."""
-
-
-class ConjectureFails(CoxcatError):
-    """A verified identity does not hold; carries the witness data."""
-
-
-class GroupTooLarge(CoxcatError):
-    """Brute-force group generation refused: the group order exceeds the cap."""
-
-
-class CapacityExceeded(CoxcatError):
-    """The arrangement is too large for the exact character computation."""
-
-
-class IdentityFails(CoxcatError):
-    """A symmetric-function identity check found a mismatching coefficient."""
-
-
-class LemmaFails(CoxcatError):
-    """A symmetric-function lemma check found a nonvanishing obstruction."""
-
-
-class NeitherMatches(CoxcatError):
-    """Calibration failed: no sign convention reproduces the oracle."""
-
-
-class ConstantTermInInner(CoxcatError):
-    """Plethysm requires the inner function to have no degree-0 term."""
+class InternalError(CoxcatError):
+    """An internal invariant or proven bound failed; indicates a bug, not bad input."""

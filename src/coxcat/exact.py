@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import DegreeOverflow, NotDivisible
+from .errors import CheckFailed, InternalError
 
 Rational = Fraction
 
@@ -306,7 +306,7 @@ class UniPoly:
 
 
 def unipoly_divide_exact(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Return p/q when q divides p exactly; raise NotDivisible otherwise."""
+    """Return p/q when q divides p exactly; raise CheckFailed otherwise."""
     if q.is_zero():
         raise ValueError("division by the zero polynomial")
     if p.is_zero():
@@ -316,7 +316,7 @@ def unipoly_divide_exact(p: UniPoly, q: UniPoly) -> UniPoly:
     dq = len(qc) - 1
     lead = qc[-1]
     if len(rem) - 1 < dq:
-        raise NotDivisible(f"{p!r} is not divisible by {q!r}")
+        raise CheckFailed(f"{p!r} is not divisible by {q!r}")
     quot = [Fraction(0)] * (len(rem) - dq)
     for k in range(len(rem) - 1, dq - 1, -1):
         c = rem[k]
@@ -327,7 +327,7 @@ def unipoly_divide_exact(p: UniPoly, q: UniPoly) -> UniPoly:
         for j in range(dq + 1):
             rem[k - dq + j] -= f * qc[j]
     if any(c != 0 for c in rem):
-        raise NotDivisible(f"{p!r} is not divisible by {q!r}")
+        raise CheckFailed(f"{p!r} is not divisible by {q!r}")
     return UniPoly(quot)
 
 
@@ -419,7 +419,7 @@ class BiPoly:
     def reverse_x(self, n: int) -> "BiPoly":
         """Return x**n * P(1/x, y); requires every x-degree to be at most n."""
         if any(k > n for (k, _) in self.terms):
-            raise DegreeOverflow(f"x-degree exceeds {n}")
+            raise InternalError(f"x-degree exceeds {n}")
         return BiPoly({(n - k, l): c for (k, l), c in self.terms.items()})
 
     def sorted_terms(self) -> list:
@@ -463,7 +463,7 @@ def bipoly_substitute(f: BiPoly, n: int) -> BiPoly:
     for (k, l), c in f.terms.items():
         m = n - k - l
         if m < 0:
-            raise DegreeOverflow(f"term x^{k} y^{l} exceeds the budget n={n}")
+            raise InternalError(f"term x^{k} y^{l} exceeds the budget n={n}")
         # expand (1-x)^m by the binomial theorem
         expansion = {
             (k + l + j, l): c * ((-1) ** j) * comb(m, j) for j in range(m + 1)

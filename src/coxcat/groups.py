@@ -9,9 +9,10 @@ conjugacy classes by orbit partition under conjugation by the generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import GroupTooLarge, InvariantBroken, LemmaViolation
+from .errors import CapacityExceeded, CheckFailed, InternalError
 from .rootsys import RootSystem
 
 _ORDER_CAP = 10_000
@@ -41,7 +42,7 @@ class ConjugacyClass:
         return f"{self.label} (size={self.size})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity: it keys the character cache
 class GroupData:
     rs: RootSystem
     elements: tuple
@@ -51,18 +52,15 @@ class GroupData:
     def order(self) -> int:
         return len(self.elements)
 
-    def identity_class_index(self) -> int:
-        identity = self.rs.identity_table()
-        for i, cls in enumerate(self.classes):
-            if cls.rep == identity:
-                return i
-        raise InvariantBroken("identity class missing")
 
-
+@lru_cache(maxsize=None)
 def generate_group(rs: RootSystem) -> GroupData:
-    """Close the simple reflections under composition and split into classes."""
+    """Close the simple reflections under composition and split into classes.
+
+    Cached per root system, which build_root_system caches per label.
+    """
     if rs.order > _ORDER_CAP:
-        raise GroupTooLarge(f"{rs.label}: |W| = {rs.order} exceeds {_ORDER_CAP}")
+        raise CapacityExceeded(f"{rs.label}: |W| = {rs.order} exceeds {_ORDER_CAP}")
     gens = rs.simple_tables
     identity = rs.identity_table()
     seen = {identity}
@@ -77,7 +75,7 @@ def generate_group(rs: RootSystem) -> GroupData:
                     nxt.append(h)
         frontier = nxt
     if len(seen) != rs.order:
-        raise InvariantBroken(
+        raise InternalError(
             f"{rs.label}: generated {len(seen)} elements, expected {rs.order}"
         )
     elements = tuple(sorted(seen))
@@ -233,7 +231,7 @@ def check_B_lemma(rs: RootSystem, group: GroupData) -> dict:
     for cls, value in zip(group.classes, values):
         expected = has_positive_short_cycle(cls.label)
         if (value != 0) != expected:
-            raise LemmaViolation(
+            raise CheckFailed(
                 f"{rs.label} class {cls.label}: chi_R = {value}, "
                 f"positive 1/2-cycle = {expected}"
             )

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import CapacityExceeded, ConjectureFails, LemmaViolation, NotDivisible
+from .errors import CapacityExceeded, CheckFailed, InternalError
 from .exact import GoldenNumber, UniPoly, unipoly_divide_exact
 from .groups import (
     ConjugacyClass,
@@ -181,12 +182,12 @@ class OSAlgebra:
                 if circuit is not None:
                     break
         if circuit is None:
-            raise AssertionError("non-NBC independent monomial without a circuit")
+            raise InternalError("non-NBC independent monomial without a circuit")
         body = circuit[1:]  # circuit[0] = c0 is its minimum
         rest = tuple(x for x in monomial if x not in body)
         sign0, merged = _merge_sign(body, rest)
         if merged != monomial:
-            raise AssertionError("circuit body is not inside the monomial")
+            raise InternalError("circuit body is not inside the monomial")
         out: Dict[tuple, int] = {}
         for j in range(1, len(circuit)):
             replaced = tuple(c for idx, c in enumerate(circuit) if idx != j)
@@ -245,7 +246,7 @@ class GradedCharacter:
         for i, cls in enumerate(self.classes):
             if cls.rep == identity:
                 return i
-        raise AssertionError("identity class missing")
+        raise InternalError("identity class missing")
 
 
 def os_capacity_ok(rs: RootSystem) -> bool:
@@ -261,7 +262,7 @@ def build_os_algebra(rs: RootSystem) -> OSAlgebra:
     algebra = OSAlgebra(_hyperplane_matroid(rs), rs.n_positive, rs.rank)
     expected = _elementary_symmetric(rs.exponents)
     if algebra.dims != expected:
-        raise AssertionError(
+        raise InternalError(
             f"{rs.label}: NBC dimensions {algebra.dims} != e_k values {expected}"
         )
     return algebra
@@ -274,8 +275,12 @@ def _elementary_symmetric(values: Sequence[int]) -> tuple:
     return tuple(coeffs)
 
 
+@lru_cache(maxsize=None)
 def os_graded_character(rs: RootSystem, group: GroupData) -> GradedCharacter:
-    """Per-class graded character chi(g)(t) = sum_k tr(g|OS_k) (-t)^k."""
+    """Per-class graded character chi(g)(t) = sum_k tr(g|OS_k) (-t)^k.
+
+    Cached per (root system, group); the algebra itself is not kept.
+    """
     algebra = build_os_algebra(rs)
     chars = []
     for cls in group.classes:
@@ -292,7 +297,7 @@ def os_graded_character(rs: RootSystem, group: GroupData) -> GradedCharacter:
     for e in rs.exponents:
         expected = expected * UniPoly((1, -e))
     if identity_char != expected:
-        raise AssertionError(
+        raise InternalError(
             f"{rs.label}: identity character {identity_char!r} != {expected!r}"
         )
     return gc
@@ -305,8 +310,8 @@ def g_prime_character(gc: GradedCharacter) -> List[Fraction]:
     for cls, poly in zip(gc.classes, gc.chars):
         try:
             quotient = unipoly_divide_exact(poly, one_minus_t)
-        except NotDivisible as exc:
-            raise NotDivisible(
+        except CheckFailed as exc:
+            raise CheckFailed(
                 f"{gc.rs.label} class {cls.describe()}: {poly!r} not divisible by 1-t"
             ) from exc
         out.append(quotient(Fraction(1)))
@@ -345,7 +350,7 @@ def _check_main_classes(
         lhs = r_val * gp_val
         rhs = (-1) ** (n - 1) * f_count * reg
         if lhs != rhs:
-            raise ConjectureFails(
+            raise CheckFailed(
                 f"{rs.label} class {cls.describe()}: chi_R*chi_G' = {lhs} != {rhs}"
             )
         rows.append((cls.describe(), r_val, gp_val, lhs))
@@ -360,7 +365,7 @@ def check_dimension_identity(rs: RootSystem) -> dict:
     lhs = rs.rank * rs.coxeter_number * prod
     rhs = rs.full_reflection_count() * rs.order
     if lhs != rhs:
-        raise ConjectureFails(f"{rs.label}: n h prod(e-1) = {lhs} != f|W| = {rhs}")
+        raise CheckFailed(f"{rs.label}: n h prod(e-1) = {lhs} != f|W| = {rhs}")
     return {"lhs": lhs, "rhs": rhs, "f_count": rs.full_reflection_count()}
 
 
@@ -380,7 +385,7 @@ def check_B_gprime_lemma(rs: RootSystem) -> dict:
             continue
         if has_positive_short_cycle(cls.label):
             if gp_val != 0:
-                raise LemmaViolation(
+                raise CheckFailed(
                     f"{rs.label} class {cls.label}: chi_G' = {gp_val} != 0"
                 )
             checked += 1
@@ -388,8 +393,8 @@ def check_B_gprime_lemma(rs: RootSystem) -> dict:
         if 2 in positive:
             try:
                 unipoly_divide_exact(poly, one_minus_t_sq)
-            except NotDivisible as exc:
-                raise LemmaViolation(
+            except CheckFailed as exc:
+                raise CheckFailed(
                     f"{rs.label} class {cls.label}: {poly!r} not divisible by (1-t)^2"
                 ) from exc
     return {"classes": len(group.classes), "vanishing_checked": checked}
@@ -430,7 +435,7 @@ def check_dihedral(rs: RootSystem) -> dict:
         for cls, val in zip(group.classes, chi_r):
             expected = rs.order if cls.rep == identity else 0
             if val != expected:
-                raise LemmaViolation(
+                raise CheckFailed(
                     f"{rs.label} class {cls.describe()}: chi_R = {val}, "
                     f"regular character = {expected}"
                 )

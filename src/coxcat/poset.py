@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from . import kernels
-from .errors import CapacityExceeded, LemmaViolation, NonCrystallographic
+from .errors import CapacityExceeded, CheckFailed, UsageError
 from .exact import BiPoly
 from .rootsys import RootSystem, build_root_system
 
@@ -28,7 +28,7 @@ class RootPoset:
 
     def __init__(self, rs: RootSystem, nodes: Optional[frozenset] = None):
         if not rs.crystallographic:
-            raise NonCrystallographic(f"{rs.label} has no integer root poset")
+            raise UsageError(f"{rs.label} has no integer root poset")
         if rs.rank > _RANK_CAP:
             raise CapacityExceeded(
                 f"{rs.label}: rank {rs.rank} exceeds the antichain enumeration cap {_RANK_CAP}"
@@ -127,6 +127,7 @@ class AntichainTally:
         return out
 
 
+@lru_cache(maxsize=None)
 def enumerate_antichains(rs: RootSystem) -> AntichainTally:
     return AntichainTally.from_poset(RootPoset(rs))
 
@@ -213,7 +214,7 @@ def check_antichain_lemmas(poset: RootPoset) -> dict:
     (d) P(x) = x^n P(1/x);
     (e) the x^(n-1) coefficient of P equals the full reflection count;
     (f) the (n-1, 0) coefficient of H equals the full reflection count.
-    Raises LemmaViolation naming the clause and a witness on failure.
+    Raises CheckFailed naming the clause and a witness on failure.
     """
     rs = poset.rs
     tally = AntichainTally.from_poset(poset)
@@ -226,7 +227,7 @@ def check_antichain_lemmas(poset: RootPoset) -> dict:
             lambda ac: len(ac) == max(by_card)
             and set(poset.root_ids[a] for a in ac) != set(rs.simple_positions),
         )
-        raise LemmaViolation(
+        raise CheckFailed(
             f"(a) maximal antichains are not exactly the simples: witness {witness}"
         )
     full = (1 << tally.n_edges) - 1
@@ -238,24 +239,24 @@ def check_antichain_lemmas(poset: RootPoset) -> dict:
                 and _covers_all(poset, ac)
                 == any(len(rs.supports[poset.root_ids[a]]) == 1 for a in ac),
             )
-            raise LemmaViolation(
+            raise CheckFailed(
                 f"(b) full-type iff no simple root fails at (k,l,edges)="
                 f"({k},{l},{em:b}): witness {witness}"
             )
     n_poly = narayana_polynomial(tally)
     if n_poly != n_poly.reverse_x(n):
-        raise LemmaViolation(f"(c) Narayana polynomial not palindromic: {n_poly!r}")
+        raise CheckFailed(f"(c) Narayana polynomial not palindromic: {n_poly!r}")
     p_direct = p_polynomial_direct(tally)
     if p_direct != p_direct.reverse_x(n):
-        raise LemmaViolation(f"(d) full-type polynomial not palindromic: {p_direct!r}")
+        raise CheckFailed(f"(d) full-type polynomial not palindromic: {p_direct!r}")
     f_count = rs.full_reflection_count()
     if p_direct.coefficient(n - 1, 0) != f_count:
-        raise LemmaViolation(
+        raise CheckFailed(
             f"(e) P coefficient {p_direct.coefficient(n - 1, 0)} != full count {f_count}"
         )
     h_poly = h_polynomial(tally)
     if h_poly.coefficient(n - 1, 0) != f_count:
-        raise LemmaViolation(
+        raise CheckFailed(
             f"(f) H(n-1, 0) coefficient {h_poly.coefficient(n - 1, 0)} != {f_count}"
         )
     return {

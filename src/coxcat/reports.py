@@ -11,16 +11,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List
 
-from .errors import (
-    ConjectureFails,
-    IdentityFails,
-    LemmaFails,
-    LemmaViolation,
-    NeitherMatches,
-    NotDivisible,
-)
+from .errors import CapacityExceeded, CheckFailed
 from .exact import BiPoly, UniPoly, format_rational
 
 CHECK_NAMES = (
@@ -178,8 +171,6 @@ def run_all_checks(
     Requesting one specific check beyond capacity is a usage error, but
     `all` simply runs whatever the oracles can reach for the type.
     """
-    from .errors import CapacityExceeded, GroupTooLarge
-
     reports = []
     for name in CHECK_NAMES:
         started = time.perf_counter()
@@ -187,7 +178,7 @@ def run_all_checks(
             reports.append(
                 run_check(name, label, max_degree=max_degree, allow_large=allow_large)
             )
-        except (CapacityExceeded, GroupTooLarge) as exc:
+        except CapacityExceeded as exc:
             reports.append(
                 _not_applicable(name, label, started, f"outside oracle capacity ({exc})")
             )
@@ -224,7 +215,7 @@ def _run_antichain_lemmas(rs, started, max_degree, allow_large) -> VerificationR
             "p_top": summary["p_top"],
             "full_count": summary["full_count"],
         }
-    except LemmaViolation as exc:
+    except CheckFailed as exc:
         witnesses.append(str(exc))
     return _report("antichain-lemmas", rs.label, started, witnesses, details)
 
@@ -270,7 +261,7 @@ def _run_hf(rs, started, max_degree, allow_large) -> VerificationReport:
     try:
         summary = verify_hf_conjecture(rs, allow_large=allow_large)
         details = {"h": summary["h"], "f": summary["f"]}
-    except ConjectureFails as exc:
+    except CheckFailed as exc:
         witnesses.append(str(exc))
     return _report("hf", rs.label, started, witnesses, details)
 
@@ -283,13 +274,13 @@ def _run_main(rs, started, max_degree, allow_large) -> VerificationReport:
     try:
         identity = check_dimension_identity(rs)
         details["identity_lhs"] = identity["lhs"]
-    except ConjectureFails as exc:
+    except CheckFailed as exc:
         witnesses.append(str(exc))
     try:
         summary = verify_main_conjecture(rs)
         details["classes"] = summary["classes"]
         details["full_count"] = summary["f_count"]
-    except (ConjectureFails, NotDivisible) as exc:
+    except CheckFailed as exc:
         witnesses.append(str(exc))
     return _report("main", rs.label, started, witnesses, details)
 
@@ -310,16 +301,16 @@ def _run_b_lemmas(rs, started, max_degree, allow_large) -> VerificationReport:
         details["classes"] = summary["classes"]
         gp = check_B_gprime_lemma(rs)
         details["vanishing_checked"] = gp["vanishing_checked"]
-    except (LemmaViolation, NotDivisible) as exc:
+    except CheckFailed as exc:
         witnesses.append(str(exc))
     return _report("b-lemmas", rs.label, started, witnesses, details)
 
 
 def _run_gerst(rs, started, max_degree, allow_large) -> VerificationReport:
     from .symfunc import (
-        calibrate_sigma_t_lie,
+        ORACLE_MAX_N,
+        calibrated_bundle,
         identity_class_value,
-        make_bundle,
         verify_first_derivative_identities,
         verify_second_derivative_identity,
         verify_type_A_conjecture,
@@ -327,12 +318,10 @@ def _run_gerst(rs, started, max_degree, allow_large) -> VerificationReport:
 
     witnesses: List[str] = []
     details: dict = {"max_degree": max_degree}
-    truncation = max_degree + 2
     try:
-        decision = calibrate_sigma_t_lie(max(truncation, 4))
-        details["twist"] = decision["twist"]
-        details["calibration_degrees"] = decision["degrees"]
-        bundle = make_bundle(truncation, decision["twist"])
+        bundle = calibrated_bundle(max_degree + 2)
+        details["twist"] = bundle.twist
+        details["calibration_degrees"] = list(range(2, ORACLE_MAX_N + 1))
         verify_first_derivative_identities(bundle, max_degree + 1)
         verify_second_derivative_identity(bundle, max_degree)
         for n in range(1, max_degree + 1):
@@ -346,7 +335,7 @@ def _run_gerst(rs, started, max_degree, allow_large) -> VerificationReport:
                 )
         verify_type_A_conjecture(bundle, max_degree)
         details["type_a_max_n"] = max_degree
-    except (NeitherMatches, IdentityFails, ConjectureFails, NotDivisible) as exc:
+    except CheckFailed as exc:
         witnesses.append(str(exc))
     return _report("gerst", rs.label, started, witnesses, details)
 
@@ -360,7 +349,7 @@ def _run_bonzero(rs, started, max_degree, allow_large) -> VerificationReport:
         bundle = calibrated_bundle(max_degree + 2)
         summary = verify_bonzero(bundle, max_degree)
         details["gerst_at_one_is_p1"] = summary["gerst_at_one_is_p1"]
-    except (LemmaFails, NeitherMatches, NotDivisible) as exc:
+    except CheckFailed as exc:
         witnesses.append(str(exc))
     return _report("bonzero", rs.label, started, witnesses, details)
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from .errors import InvariantBroken, UnsupportedType
+from .errors import InternalError, UsageError
 from .exact import GoldenNumber, PHI, conjugate_partition
 
 _LABEL_RE = re.compile(r"^([A-H])(\d+)$|^I2\((\d+)\)$")
@@ -32,11 +32,11 @@ def parse_label(label: str) -> Tuple[str, int, Optional[int]]:
     s = label.strip().upper().replace(" ", "")
     m = _LABEL_RE.match(s)
     if not m:
-        raise UnsupportedType(f"cannot parse type label {label!r}")
+        raise UsageError(f"cannot parse type label {label!r}")
     if m.group(3) is not None:
         order = int(m.group(3))
         if order < 5:
-            raise UnsupportedType("I2(m) requires m >= 5; smaller m duplicate A/B types")
+            raise UsageError("I2(m) requires m >= 5; smaller m duplicate A/B types")
         return "I", 2, order
     family, rank = m.group(1), int(m.group(2))
     bounds = {
@@ -51,7 +51,7 @@ def parse_label(label: str) -> Tuple[str, int, Optional[int]]:
     }
     lo, hi = bounds[family]
     if rank < lo or (hi is not None and rank > hi):
-        raise UnsupportedType(f"rank {rank} out of range for family {family}")
+        raise UsageError(f"rank {rank} out of range for family {family}")
     return family, rank, None
 
 
@@ -67,7 +67,7 @@ def _diagram_edges(family: str, n: int) -> list:
     if family == "E":
         chain = [0, 2, 3, 4, 5, 6, 7][: n - 1]
         return [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)] + [(1, 3)]
-    raise UnsupportedType(family)
+    raise UsageError(family)
 
 
 def _coxeter_matrix(family: str, n: int, edges: list) -> list:
@@ -142,7 +142,7 @@ def _bipartition(n: int, edges: list) -> Tuple[frozenset, frozenset]:
                 colour[j] = 1 - colour[i]
                 stack.append(j)
     if len(colour) != n:
-        raise InvariantBroken("Coxeter diagram is not connected")
+        raise InternalError("Coxeter diagram is not connected")
     plus = frozenset(i for i, c in colour.items() if c == 0)
     minus = frozenset(range(n)) - plus
     return plus, minus
@@ -292,7 +292,7 @@ class RootSystem:
                 counts[h] = counts.get(h, 0) + 1
             parts = [counts[h] for h in sorted(counts)]
             if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-                raise InvariantBroken("height distribution is not a partition")
+                raise InternalError("height distribution is not a partition")
             conj = conjugate_partition(parts)
             self.exponents = tuple(sorted(conj))
         else:
@@ -332,22 +332,22 @@ class RootSystem:
         n, N = self.rank, self.n_positive
         e = self.exponents
         if sum(e) != N:
-            raise InvariantBroken(f"{self.label}: exponent sum {sum(e)} != {N}")
+            raise InternalError(f"{self.label}: exponent sum {sum(e)} != {N}")
         if 2 * N % n:
-            raise InvariantBroken(f"{self.label}: 2N not divisible by rank")
+            raise InternalError(f"{self.label}: 2N not divisible by rank")
         if e[0] != 1 or e[-1] != self.coxeter_number - 1:
-            raise InvariantBroken(f"{self.label}: exponent endpoints wrong")
+            raise InternalError(f"{self.label}: exponent endpoints wrong")
         for table in self.simple_tables:
             if sorted(table) != list(range(2 * N)):
-                raise InvariantBroken(f"{self.label}: reflection table not a bijection")
+                raise InternalError(f"{self.label}: reflection table not a bijection")
         if self.positive_roots is not None:
             for support in self.supports:
                 if not self._support_connected(support):
-                    raise InvariantBroken(f"{self.label}: disconnected root support")
+                    raise InternalError(f"{self.label}: disconnected root support")
             # height 1 exactly for simple roots, so they lead the canonical order
             for pos in self.simple_positions:
                 if pos >= n:
-                    raise InvariantBroken(f"{self.label}: simple roots not first in order")
+                    raise InternalError(f"{self.label}: simple roots not first in order")
 
     def _support_connected(self, support: frozenset) -> bool:
         if not support:
@@ -424,7 +424,7 @@ class RootSystem:
                 if _negated_positive_count(self, g) == 1
             ]
             if len(reflections) != self.m:
-                raise InvariantBroken(f"{self.label}: expected {self.m} reflections")
+                raise InternalError(f"{self.label}: expected {self.m} reflections")
             return len(reflections) - 2
         full = range(self.rank)
         return sum(1 for s in self.supports if len(s) == len(full))
@@ -485,7 +485,7 @@ def reflection_of_root(rs: RootSystem, j: int) -> tuple:
         if rs.crystallographic:
             frac = Fraction(coeff)
             if frac.denominator != 1:
-                raise InvariantBroken("non-integral reflection coefficient")
+                raise InternalError("non-integral reflection coefficient")
             coeff = frac.numerator
         image = tuple(u[i] - coeff * beta[i] for i in range(rs.rank))
         table.append(rs.root_index(image))

@@ -17,14 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import (
-    ConjectureFails,
-    ConstantTermInInner,
-    IdentityFails,
-    LemmaFails,
-    NeitherMatches,
-    NotDivisible,
-)
+from .errors import CheckFailed, InternalError
 from .exact import UniPoly, centralizer_order, partitions_of, unipoly_divide_exact
 
 PartitionKey = Tuple[int, ...]
@@ -128,9 +121,6 @@ class SymFunc:
             self.truncation,
         )
 
-    def max_degree(self) -> int:
-        return max((sum(lam) for lam in self.terms), default=0)
-
     def has_constant_term(self) -> bool:
         return () in self.terms
 
@@ -176,7 +166,7 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
     """f composed with g, with p_d acting on g by p_k -> p_{dk}, t -> t^d."""
     f._check_partner(g)
     if g.has_constant_term():
-        raise ConstantTermInInner("inner series must have no degree-0 term")
+        raise InternalError("inner series must have no degree-0 term")
     substituted: Dict[int, SymFunc] = {}
 
     def part_image(d: int) -> SymFunc:
@@ -324,43 +314,46 @@ def _symmetric_group_oracle(n: int, truncation: int) -> SymFunc:
     for cls, poly in zip(gc.classes, gc.chars):
         values[cls.label] = poly
     if len(values) != len(gc.classes):
-        raise AssertionError("duplicate class labels in the S_n oracle")
+        raise InternalError("duplicate class labels in the S_n oracle")
     return characteristic_map(values, truncation)
 
 
-def calibrate_sigma_t_lie(truncation: int = 7, oracle_max_n: int = 4) -> dict:
+ORACLE_MAX_N = 4  # the S_n oracles of the calibration run up to this degree
+
+
+def calibrate_sigma_t_lie(oracle_max_n: int = ORACLE_MAX_N) -> dict:
     """Pick the Lie-series sign variant that reproduces the S_n oracle.
 
     Both the plain formula and its omega-twist are expanded through the
-    plethysm with Com; the graded components for n = 2 .. oracle_max_n are
-    compared with the reflection-arrangement characters of S_n.  Exactly
-    one variant must survive.
+    plethysm with Com at truncation oracle_max_n; the graded components for
+    n = 2 .. oracle_max_n are compared with the reflection-arrangement
+    characters of S_n.  A graded part of degree n does not depend on the
+    truncation once it is at least n, so the decision holds for every
+    truncation.  Exactly one variant must survive.
     """
-    degrees = list(range(2, min(oracle_max_n, truncation) + 1))
-    candidates = {False: make_bundle(truncation, False), True: make_bundle(truncation, True)}
-    surviving = dict(candidates)
+    degrees = list(range(2, oracle_max_n + 1))
+    surviving = {twist: make_bundle(oracle_max_n, twist) for twist in (False, True)}
     detail = {}
     for n in degrees:
-        oracle = _symmetric_group_oracle(n, truncation)
+        oracle = _symmetric_group_oracle(n, oracle_max_n)
         for twist in list(surviving):
             piece = surviving[twist].gerst.graded_part(n)
             detail[(twist, n)] = piece == oracle
             if piece != oracle:
                 del surviving[twist]
     if not surviving:
-        raise NeitherMatches(
+        raise CheckFailed(
             "neither Lie-series sign variant matches the S_n arrangement oracle"
         )
     if len(surviving) > 1:
-        raise AssertionError("sign variants agree on all oracle degrees")
+        raise InternalError("sign variants agree on all oracle degrees")
     twist = next(iter(surviving))
     return {"twist": twist, "degrees": degrees, "detail": detail}
 
 
 @lru_cache(maxsize=None)
 def calibrated_bundle(truncation: int = 7) -> SeriesBundle:
-    decision = calibrate_sigma_t_lie(max(truncation, 4))
-    return make_bundle(truncation, decision["twist"])
+    return make_bundle(truncation, calibrate_sigma_t_lie()["twist"])
 
 
 def identity_class_value(bundle: SeriesBundle, n: int) -> UniPoly:
@@ -394,11 +387,11 @@ def verify_first_derivative_identities(bundle: SeriesBundle, max_degree: int) ->
     com_target = SymFunc.one(n) + bundle.com
     diff = _first_difference(dp1(bundle.com), com_target, max_degree)
     if diff is not None:
-        raise IdentityFails(f"dCom/dp1 differs at p_{list(diff[0])}: {diff[1]!r} != {diff[2]!r}")
+        raise CheckFailed(f"dCom/dp1 differs at p_{list(diff[0])}: {diff[1]!r} != {diff[2]!r}")
     lie_target = geometric_inverse_one_plus_p1_t(n)
     diff = _first_difference(dp1(bundle.lie), lie_target, max_degree)
     if diff is not None:
-        raise IdentityFails(f"dLie/dp1 differs at p_{list(diff[0])}: {diff[1]!r} != {diff[2]!r}")
+        raise CheckFailed(f"dLie/dp1 differs at p_{list(diff[0])}: {diff[1]!r} != {diff[2]!r}")
     return {"max_degree": max_degree}
 
 
@@ -412,7 +405,7 @@ def verify_second_derivative_identity(bundle: SeriesBundle, max_degree: int) -> 
     ).scale(UniPoly((1, -1)))
     diff = _first_difference(lhs, rhs, max_degree)
     if diff is not None:
-        raise IdentityFails(
+        raise CheckFailed(
             f"second-derivative identity differs at p_{list(diff[0])}: "
             f"{diff[1]!r} != {diff[2]!r}"
         )
@@ -433,8 +426,8 @@ def verify_bonzero(bundle: SeriesBundle, max_degree: int) -> dict:
     for lam, coeff in second.terms.items():
         try:
             reduced[lam] = unipoly_divide_exact(coeff, one_minus_t)
-        except NotDivisible as exc:
-            raise LemmaFails(
+        except CheckFailed as exc:
+            raise CheckFailed(
                 f"coefficient of p_{list(lam)} in d^2 Gerst is {coeff!r}, "
                 f"not divisible by 1-t"
             ) from exc
@@ -444,12 +437,12 @@ def verify_bonzero(bundle: SeriesBundle, max_degree: int) -> dict:
     target = geometric_inverse_one_plus_p1(n)
     diff = _first_difference(at_one, target, max_degree)
     if diff is not None:
-        raise LemmaFails(
+        raise CheckFailed(
             f"value at t=1 differs at p_{list(diff[0])}: {diff[1]!r} != {diff[2]!r}"
         )
     gerst_at_one = bundle.gerst.evaluate_t(1)
     if gerst_at_one != SymFunc.p(1, n):
-        raise LemmaFails("Gerst at t=1 is not p_1")
+        raise CheckFailed("Gerst at t=1 is not p_1")
     return {"max_degree": max_degree, "gerst_at_one_is_p1": True}
 
 
@@ -481,7 +474,7 @@ def verify_type_A_conjecture(bundle: SeriesBundle, max_n: int) -> dict:
             product = chi_R_typeA(lam) * gp
             expected = (-1) ** n * factorial if lam == (1,) * n else 0
             if product != expected:
-                raise ConjectureFails(
+                raise CheckFailed(
                     f"S_{n} class {lam}: chi_R*chi_G' = {product} != {expected}"
                 )
             rows.append((n, lam, product))

@@ -169,6 +169,8 @@ def test_usage_errors_exit_two(capsys):
         ("gerst", "--max-degree", "-1"),
         ("verify", "gerst", "A2", "--max-degree", "0"),
         ("--threads", "4", "table", "A2"),
+        ("verify", "all", "Z9"),  # an unknown label is no capacity overrun
+        ("antichains", "H3"),
     ],
 )
 def test_out_of_range_requests_exit_two_in_one_line(capsys, argv):

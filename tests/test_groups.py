@@ -2,7 +2,7 @@
 
 import pytest
 
-from coxcat.errors import GroupTooLarge
+from coxcat.errors import CapacityExceeded
 from coxcat.exact import centralizer_order, partitions_of
 from coxcat.groups import (
     check_B_lemma,
@@ -47,7 +47,7 @@ def test_orders():
 
 
 def test_too_large_group_rejected():
-    with pytest.raises(GroupTooLarge):
+    with pytest.raises(CapacityExceeded, match=r"E6: \|W\| = 51840 exceeds 10000"):
         generate_group(build_root_system("E6"))
 
 

@@ -1,11 +1,10 @@
 """Arrangement cohomology characters, the (1-t) quotient, and identities."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from coxcat.errors import CapacityExceeded, NotDivisible
+from coxcat.errors import CapacityExceeded, CheckFailed
 from coxcat.exact import UniPoly, unipoly_divide_exact
 from coxcat.groups import generate_group
 from coxcat.osalgebra import (
@@ -150,6 +149,25 @@ def test_dihedral_report_builds_group_once(monkeypatch, m):
     assert report["main"] == verify_main_conjecture(rs)
 
 
+def test_verify_all_builds_each_os_algebra_once(monkeypatch):
+    import coxcat.osalgebra as osalgebra
+    from coxcat.reports import run_all_checks
+    from coxcat.symfunc import calibrated_bundle
+
+    for cached in (generate_group, os_graded_character, calibrated_bundle):
+        cached.cache_clear()
+    built = []
+
+    def counting_build_os_algebra(rs_arg):
+        built.append(rs_arg.label)
+        return build_os_algebra(rs_arg)
+
+    monkeypatch.setattr(osalgebra, "build_os_algebra", counting_build_os_algebra)
+    assert all(report.passed for report in run_all_checks("B4"))
+    # B4 for main and b-lemmas, A1-A3 for the S_2-S_4 calibration oracles
+    assert sorted(built) == ["A1", "A2", "A3", "B4"]
+
+
 def test_dims_invariant_under_hyperplane_reordering():
     for label in ("A3", "B3"):
         rs = build_root_system(label)
@@ -227,5 +245,5 @@ def test_g_prime_rejects_non_divisible_input():
     rs = build_root_system("A1")
     gc = os_graded_character(rs, generate_group(rs))
     broken = replace(gc, chars=(UniPoly((1, 1)),) * len(gc.chars))
-    with pytest.raises(NotDivisible):
+    with pytest.raises(CheckFailed, match="not divisible by 1-t"):
         g_prime_character(broken)

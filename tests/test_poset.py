@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from coxcat.errors import LemmaViolation, NonCrystallographic
+from coxcat.errors import UsageError
 from coxcat.exact import BiPoly
 from coxcat.poset import (
     AntichainTally,
@@ -122,9 +122,9 @@ def test_narayana_and_p_are_palindromic():
 
 
 def test_noncrystallographic_poset_rejected():
-    with pytest.raises(NonCrystallographic):
+    with pytest.raises(UsageError, match="H3 has no integer root poset"):
         RootPoset(build_root_system("H3"))
-    with pytest.raises(NonCrystallographic):
+    with pytest.raises(UsageError, match=r"I2\(7\) has no integer root poset"):
         RootPoset(build_root_system("I2(7)"))
 
 

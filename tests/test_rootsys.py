@@ -2,10 +2,9 @@
 
 import pytest
 
-from coxcat.errors import UnsupportedType
+from coxcat.errors import UsageError
 from coxcat.exact import GoldenNumber
 from coxcat.rootsys import (
-    RootSystem,
     build_root_system,
     reflection_of_root,
 )
@@ -171,7 +170,7 @@ def test_reflections_are_distinct_per_positive_root():
 
 def test_unsupported_labels_raise():
     for bad in ("Z3", "A0", "B1", "C2", "D3", "E9", "F5", "G3", "H5", "I2(4)", "", "A"):
-        with pytest.raises(UnsupportedType):
+        with pytest.raises(UsageError, match=r"cannot parse type label|out of range for family|requires m >= 5"):
             build_root_system(bad)
 
 

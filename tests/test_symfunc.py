@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import coxcat.symfunc as symfunc
-from coxcat.errors import ConjectureFails, ConstantTermInInner, NeitherMatches
+from coxcat.errors import CheckFailed, InternalError
 from coxcat.exact import UniPoly, partitions_of
 from coxcat.groups import chi_R, generate_group
 from coxcat.rootsys import build_root_system
@@ -20,7 +20,6 @@ from coxcat.symfunc import (
     dp1,
     geometric_inverse_one_plus_p1_t,
     identity_class_value,
-    make_bundle,
     plethysm,
     sigma_t_lie,
     verify_bonzero,
@@ -152,9 +151,9 @@ def test_plethysm_associativity():
 
 
 def test_plethysm_rejects_constant_term_in_inner():
-    with pytest.raises(ConstantTermInInner):
+    with pytest.raises(InternalError, match="inner series must have no degree-0 term"):
         plethysm(p(2), SymFunc.one(7))
-    with pytest.raises(ConstantTermInInner):
+    with pytest.raises(InternalError, match="inner series must have no degree-0 term"):
         plethysm(p(1), p(1) + SymFunc.one(7))
 
 
@@ -212,8 +211,46 @@ def test_calibration_raises_when_no_variant_matches(monkeypatch):
         return SymFunc({(n,): UniPoly.constant(Fraction(41))}, truncation)
 
     monkeypatch.setattr(symfunc, "_symmetric_group_oracle", bogus)
-    with pytest.raises(NeitherMatches):
+    with pytest.raises(CheckFailed, match="neither Lie-series sign variant matches"):
         calibrate_sigma_t_lie()
+
+
+def test_calibration_at_oracle_degrees_matches_full_truncation():
+    decision = calibrate_sigma_t_lie()
+    assert decision["degrees"] == [2, 3, 4]
+    short = {twist: symfunc.make_bundle(4, twist) for twist in (False, True)}
+    full = {twist: symfunc.make_bundle(9, twist) for twist in (False, True)}
+    matches = {}
+    for twist in (False, True):
+        for n in decision["degrees"]:
+            piece = full[twist].gerst.graded_part(n)
+            assert SymFunc(piece.terms, 4) == short[twist].gerst.graded_part(n)
+            matches[(twist, n)] = piece == symfunc._symmetric_group_oracle(n, 9)
+    for key, matched in decision["detail"].items():
+        assert matches[key] is matched
+    surviving = [t for t in (False, True) if all(matches[(t, n)] for n in decision["degrees"])]
+    assert surviving == [decision["twist"]]
+
+
+def test_series_checks_build_one_full_bundle(monkeypatch):
+    from coxcat.reports import run_check
+
+    calibrated_bundle.cache_clear()
+    make_bundle = symfunc.make_bundle
+    truncations = []
+
+    def recording_make_bundle(truncation, twist):
+        truncations.append(truncation)
+        return make_bundle(truncation, twist)
+
+    monkeypatch.setattr(symfunc, "make_bundle", recording_make_bundle)
+    gerst = run_check("gerst", "A2", max_degree=5)
+    assert gerst.passed
+    assert gerst.details["calibration_degrees"] == [2, 3, 4]
+    assert gerst.details["twist"] is True
+    assert run_check("bonzero", "A2", max_degree=5).passed
+    # the two calibration candidates at the oracle degree, then one shared bundle
+    assert truncations == [4, 4, 7]
 
 
 def test_frozen_degree_two_gerst():
@@ -295,7 +332,7 @@ def test_type_A_conjecture_detects_corruption():
         lie=bundle.lie,
         gerst=bundle.gerst + SymFunc({(1, 1, 1): UniPoly((1, -1))}, 4),
     )
-    with pytest.raises(ConjectureFails):
+    with pytest.raises(CheckFailed, match=r"S_3 class \(1, 1, 1\): chi_R\*chi_G' = "):
         verify_type_A_conjecture(broken, 4)
 
 
