@@ -121,19 +121,24 @@ class ClusterComplex:
         return BiPoly(out)
 
     def maximal_face_count(self) -> Tuple[int, int]:
-        """(number of maximal faces, minimum size among them)."""
-        faces = set(kernels.iter_cliques(self.adjacency))
-        maximal = []
-        for mask in faces:
-            extendable = False
-            for v in range(self.n_vertices):
-                if not (mask >> v) & 1 and (mask & self.adjacency[v]) == mask:
-                    extendable = True
-                    break
-            if not extendable:
-                maximal.append(mask)
-        sizes = {bin(m).count("1") for m in maximal}
-        return len(maximal), min(sizes)
+        """(number of maximal faces, minimum size among them).
+
+        A face is maximal when no vertex is compatible with all its members,
+        i.e. when the AND of the members' adjacency masks is 0.
+        """
+        count = 0
+        min_size = self.n_vertices
+        for mask in kernels.iter_cliques(self.adjacency):
+            common = -1
+            rest = mask
+            while rest and common:
+                low = rest & -rest
+                common &= self.adjacency[low.bit_length() - 1]
+                rest ^= low
+            if not common:
+                count += 1
+                min_size = min(min_size, mask.bit_count())
+        return count, min_size
 
 
 def f_polynomial(rs: RootSystem, allow_large: bool = False) -> BiPoly:

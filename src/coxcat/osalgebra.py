@@ -1,11 +1,15 @@
 """Graded characters of the reflection-arrangement cohomology.
 
-Hyperplanes are the positive roots in canonical order.  The algebra is
+Hyperplanes are the positive roots in canonical order.  The algebra
+depends only on the matroid of the arrangement, and it is read off one
+memoized rank oracle: a set is independent when its rank is its size, and
+a circuit is read off the exchanges that keep a set independent.  It is
 presented on no-broken-circuit (NBC) monomials; a group element acts by
 permuting hyperplanes, sorting the image monomial (with the permutation
 sign), and rewriting non-NBC monomials through the circuit relations
-sum_j (-1)^j e_{C minus c_j} = 0.  All linear algebra is exact, over the
-rationals or over Q(phi) for the H types.
+sum_j (-1)^j e_{C minus c_j} = 0.  Rank is computed by division-free
+elimination, which needs only products and differences, so it is exact
+for the integer roots and for the Q(phi) roots of the H types.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CapacityExceeded, CheckFailed, InternalError
-from .exact import GoldenNumber, UniPoly, unipoly_divide_exact
+from .exact import UniPoly, unipoly_divide_exact
 from .groups import (
     ConjugacyClass,
     GroupData,
@@ -26,95 +30,62 @@ from .groups import (
 )
 from .rootsys import RootSystem
 
-_MAX_HYPERPLANES = 16
-_MAX_TOTAL_DIM = 2_000
+_MAX_HYPERPLANES = 25
 
 
-def _is_zero(x) -> bool:
-    return x.is_zero() if isinstance(x, GoldenNumber) else x == 0
+def _row_rank(rows: Sequence[Sequence]) -> int:
+    """Rank by division-free elimination: each other row becomes
+    row * pivot[col] - pivot * row[col], so no entry is ever divided."""
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((row for row in rows if row[col] != 0), None)
+        if pivot is None:
+            continue
+        p = pivot[col]
+        rows = [
+            [x * p - y * row[col] for x, y in zip(row, pivot)]
+            for row in rows
+            if row is not pivot
+        ]
+        rank += 1
+    return rank
 
 
 class VectorMatroid:
-    """Linear dependence oracle for a list of exact vectors."""
+    """Matroid of a list of exact vectors; rank is memoized per subset."""
 
     def __init__(self, vectors: Sequence[tuple]):
         self.vectors = [tuple(v) for v in vectors]
-        self.dim = len(self.vectors[0]) if self.vectors else 0
+        self._ranks: Dict[int, int] = {}
 
-    def _solve(self, columns: Sequence[int], target: int) -> Optional[list]:
-        """Coefficients expressing vectors[target] over the columns, or None."""
-        rows = self.dim
-        k = len(columns)
-        aug = [
-            [self.vectors[c][r] for c in columns] + [self.vectors[target][r]]
-            for r in range(rows)
-        ]
-        pivot_cols: List[int] = []
-        r = 0
-        for col in range(k):
-            pivot = None
-            for rr in range(r, rows):
-                if not _is_zero(aug[rr][col]):
-                    pivot = rr
-                    break
-            if pivot is None:
-                continue
-            aug[r], aug[pivot] = aug[pivot], aug[r]
-            inv = (
-                aug[r][col].inverse()
-                if isinstance(aug[r][col], GoldenNumber)
-                else Fraction(1) / aug[r][col]
-            )
-            aug[r] = [x * inv for x in aug[r]]
-            for rr in range(rows):
-                if rr != r and not _is_zero(aug[rr][col]):
-                    f = aug[rr][col]
-                    aug[rr] = [a - f * b for a, b in zip(aug[rr], aug[r])]
-            pivot_cols.append(col)
-            r += 1
-        # inconsistent rows mean the target is outside the span
-        for rr in range(r, rows):
-            if not _is_zero(aug[rr][k]):
-                return None
-        coeffs = [self.vectors[0][0] * 0] * k
-        for row, col in enumerate(pivot_cols):
-            coeffs[col] = aug[row][k]
-        return coeffs
+    def rank(self, subset: Tuple[int, ...]) -> int:
+        key = 0
+        for x in subset:
+            key |= 1 << x
+        cached = self._ranks.get(key)
+        if cached is None:
+            cached = _row_rank([self.vectors[x] for x in subset])
+            self._ranks[key] = cached
+        return cached
 
     def is_independent(self, subset: Tuple[int, ...]) -> bool:
-        if not subset:
-            return True
-        body, last = subset[:-1], subset[-1]
-        if not self.is_independent(body):
-            return False
-        return self._solve(body, last) is None
+        return self.rank(subset) == len(subset)
 
     def fundamental_circuit(
         self, base: Tuple[int, ...], extra: int
     ) -> Optional[Tuple[int, ...]]:
-        """Circuit inside base+{extra} when extra is in the span of base."""
-        coeffs = self._solve(base, extra)
-        if coeffs is None:
+        """Circuit inside base+{extra} when extra is in the span of base.
+
+        For an independent base the circuit is extra plus every member whose
+        exchange for extra leaves an independent set.
+        """
+        if self.is_independent(base + (extra,)):
             return None
-        members = [extra] + [c for c, v in zip(base, coeffs) if not _is_zero(v)]
+        members = [extra] + [
+            b for b in base
+            if self.is_independent(tuple(x for x in base if x != b) + (extra,))
+        ]
         return tuple(sorted(members))
-
-
-class UniformRank2Matroid:
-    """Dependence oracle for m distinct lines through the origin of a plane."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def is_independent(self, subset: Tuple[int, ...]) -> bool:
-        return len(subset) <= 2
-
-    def fundamental_circuit(
-        self, base: Tuple[int, ...], extra: int
-    ) -> Optional[Tuple[int, ...]]:
-        if len(base) < 2:
-            return None  # two distinct lines are never parallel
-        return tuple(sorted((extra,) + tuple(base[:2])))
 
 
 def _merge_sign(u: tuple, v: tuple) -> Tuple[int, tuple]:
@@ -126,7 +97,7 @@ def _merge_sign(u: tuple, v: tuple) -> Tuple[int, tuple]:
 class OSAlgebra:
     """NBC bases and straightening for one hyperplane arrangement."""
 
-    def __init__(self, matroid, n_hyperplanes: int, rank: int):
+    def __init__(self, matroid: VectorMatroid, n_hyperplanes: int, rank: int):
         self.matroid = matroid
         self.n = n_hyperplanes
         self.rank = rank
@@ -138,20 +109,25 @@ class OSAlgebra:
                 start = base[-1] + 1 if base else 0
                 for c in range(start, self.n):
                     cand = base + (c,)
-                    if self.matroid.is_independent(cand) and not self._has_broken_circuit(cand):
+                    if (
+                        self.matroid.is_independent(cand)
+                        and self._broken_circuit(cand) is None
+                    ):
                         level.append(cand)
             self.nbc.append(level)
         self.dims = tuple(len(level) for level in self.nbc)
         self._nbc_sets = [set(level) for level in self.nbc]
 
-    def _has_broken_circuit(self, subset: tuple) -> bool:
+    def _broken_circuit(self, subset: tuple) -> Optional[tuple]:
+        """First circuit c0 + (members of subset above c0), c0 not in subset."""
         for c0 in range(subset[-1]):
             if c0 in subset:
                 continue
             tail = tuple(x for x in subset if x > c0)
-            if tail and not self.matroid.is_independent((c0,) + tail):
-                return True
-        return False
+            circuit = self.matroid.fundamental_circuit(tail, c0)
+            if circuit is not None:
+                return circuit
+        return None
 
     def is_nbc(self, subset: tuple) -> bool:
         k = len(subset)
@@ -172,15 +148,7 @@ class OSAlgebra:
         return result
 
     def _rewrite(self, monomial: tuple) -> Dict[tuple, int]:
-        circuit = None
-        for c0 in range(monomial[-1]):
-            if c0 in monomial:
-                continue
-            tail = tuple(x for x in monomial if x > c0)
-            if tail:
-                circuit = self.matroid.fundamental_circuit(tail, c0)
-                if circuit is not None:
-                    break
+        circuit = self._broken_circuit(monomial)
         if circuit is None:
             raise InternalError("non-NBC independent monomial without a circuit")
         body = circuit[1:]  # circuit[0] = c0 is its minimum
@@ -222,9 +190,10 @@ def _sort_sign(seq: tuple) -> int:
     return (-1) ** inversions
 
 
-def _hyperplane_matroid(rs: RootSystem):
+def _hyperplane_matroid(rs: RootSystem) -> VectorMatroid:
     if rs.family == "I":
-        return UniformRank2Matroid(rs.n_positive)
+        # m distinct lines in the plane: the uniform matroid U_{2,m}
+        return VectorMatroid([(1, j) for j in range(rs.n_positive)])
     return VectorMatroid(rs.positive_roots)
 
 
@@ -249,16 +218,9 @@ class GradedCharacter:
         raise InternalError("identity class missing")
 
 
-def os_capacity_ok(rs: RootSystem) -> bool:
-    return rs.n_positive <= _MAX_HYPERPLANES and rs.order <= _MAX_TOTAL_DIM
-
-
 def build_os_algebra(rs: RootSystem) -> OSAlgebra:
-    if not os_capacity_ok(rs):
-        raise CapacityExceeded(
-            f"{rs.label}: needs |hyperplanes| <= {_MAX_HYPERPLANES} and "
-            f"total dimension <= {_MAX_TOTAL_DIM}"
-        )
+    if rs.n_positive > _MAX_HYPERPLANES:
+        raise CapacityExceeded(f"{rs.label}: needs |hyperplanes| <= {_MAX_HYPERPLANES}")
     algebra = OSAlgebra(_hyperplane_matroid(rs), rs.n_positive, rs.rank)
     expected = _elementary_symmetric(rs.exponents)
     if algebra.dims != expected:

@@ -18,7 +18,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 from . import kernels
 from .errors import CapacityExceeded, CheckFailed, UsageError
 from .exact import BiPoly
-from .rootsys import RootSystem, build_root_system
+from .rootsys import RootSystem
 
 _RANK_CAP = 8  # enumeration refuses above this; every supported type fits
 
@@ -60,11 +60,6 @@ class RootPoset:
             for e in self.edge_list:
                 if e[0] in support and e[1] in support:
                     self.edge_masks[a] |= 1 << edge_pos[e]
-
-    def leq(self, a: int, b: int) -> bool:
-        """Compare two positive roots by their local indices."""
-        roots = self.rs.positive_roots
-        return _leq(roots[self.root_ids[a]], roots[self.root_ids[b]])
 
     def iter_antichains(self) -> Iterator[Tuple[int, ...]]:
         """Yield antichains as tuples of local root indices (empty one first)."""
@@ -128,8 +123,11 @@ class AntichainTally:
 
 
 @lru_cache(maxsize=None)
-def enumerate_antichains(rs: RootSystem) -> AntichainTally:
-    return AntichainTally.from_poset(RootPoset(rs))
+def enumerate_antichains(
+    rs: RootSystem, nodes: Optional[frozenset] = None
+) -> AntichainTally:
+    """Antichain tally of the full root poset, or of the parabolic on nodes."""
+    return AntichainTally.from_poset(RootPoset(rs, nodes))
 
 
 def narayana_polynomial(tally: AntichainTally) -> BiPoly:
@@ -157,15 +155,6 @@ def generalized_catalan(rs: RootSystem) -> int:
     return value.numerator
 
 
-@lru_cache(maxsize=None)
-def _narayana_for_nodes(label: str, nodes: frozenset) -> BiPoly:
-    rs = build_root_system(label)
-    if not nodes:
-        return BiPoly.one()
-    tally = AntichainTally.from_poset(RootPoset(rs, nodes))
-    return narayana_polynomial(tally)
-
-
 def p_polynomial_mobius(rs: RootSystem) -> BiPoly:
     """P(x) by inclusion-exclusion over the covered-edge sets.
 
@@ -181,7 +170,14 @@ def p_polynomial_mobius(rs: RootSystem) -> BiPoly:
         sign = (-1) ** (n_edges - len(subset))
         product = BiPoly.one()
         for component in _components(rs.rank, subset):
-            product = product * _narayana_for_nodes(rs.label, component)
+            # the whole diagram is the full poset: call it with the same
+            # arguments as every other caller, so the cached tally is shared
+            tally = (
+                enumerate_antichains(rs)
+                if len(component) == rs.rank
+                else enumerate_antichains(rs, component)
+            )
+            product = product * narayana_polynomial(tally)
         total = total + sign * product
     return total
 
@@ -205,7 +201,7 @@ def _components(n: int, edges: Sequence[tuple]) -> list:
     return [frozenset(g) for g in groups.values()]
 
 
-def check_antichain_lemmas(poset: RootPoset) -> dict:
+def check_antichain_lemmas(rs: RootSystem) -> dict:
     """Verify the structural facts about antichains of the full root poset.
 
     (a) the maximal antichain cardinality is n, achieved only by the simples;
@@ -214,14 +210,15 @@ def check_antichain_lemmas(poset: RootPoset) -> dict:
     (d) P(x) = x^n P(1/x);
     (e) the x^(n-1) coefficient of P equals the full reflection count;
     (f) the (n-1, 0) coefficient of H equals the full reflection count.
-    Raises CheckFailed naming the clause and a witness on failure.
+    Raises CheckFailed naming the clause and a witness on failure; only
+    then is the poset built, to search its antichains for the witness.
     """
-    rs = poset.rs
-    tally = AntichainTally.from_poset(poset)
+    tally = enumerate_antichains(rs)
     n = rs.rank
     by_card = tally.by_cardinality()
     by_cs = tally.by_cardinality_simples()
     if max(by_card) != n or by_card[n] != 1 or by_cs.get((n, n), 0) != 1:
+        poset = RootPoset(rs)
         witness = _witness(
             poset,
             lambda ac: len(ac) == max(by_card)
@@ -233,6 +230,7 @@ def check_antichain_lemmas(poset: RootPoset) -> dict:
     full = (1 << tally.n_edges) - 1
     for (k, l, em), c in tally.counts:
         if k == n - 1 and ((em == full) != (l == 0)):
+            poset = RootPoset(rs)
             witness = _witness(
                 poset,
                 lambda ac: len(ac) == n - 1

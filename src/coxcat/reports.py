@@ -203,12 +203,12 @@ def _run_antichain_lemmas(rs, started, max_degree, allow_large) -> VerificationR
         return _not_applicable(
             "antichain-lemmas", rs.label, started, "needs integer root coordinates"
         )
-    from .poset import RootPoset, check_antichain_lemmas
+    from .poset import check_antichain_lemmas
 
     witnesses: List[str] = []
     details: dict = {}
     try:
-        summary = check_antichain_lemmas(RootPoset(rs))
+        summary = check_antichain_lemmas(rs)
         details = {
             "total": summary["total"],
             "narayana": summary["narayana"],

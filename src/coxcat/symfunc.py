@@ -258,17 +258,6 @@ def geometric_inverse_one_plus_p1_t(truncation: int) -> SymFunc:
     )
 
 
-def geometric_inverse_one_plus_p1(truncation: int) -> SymFunc:
-    """Expansion of 1/(1 + p_1) = sum_k (-1)^k p_1^k."""
-    return SymFunc(
-        {
-            (1,) * k: UniPoly.constant(Fraction((-1) ** k))
-            for k in range(truncation + 1)
-        },
-        truncation,
-    )
-
-
 @dataclass(frozen=True)
 class SeriesBundle:
     """The calibrated series pipeline at one truncation degree."""
@@ -434,7 +423,7 @@ def verify_bonzero(bundle: SeriesBundle, max_degree: int) -> dict:
     at_one = SymFunc(
         {lam: UniPoly.constant(c(Fraction(1))) for lam, c in reduced.items()}, n
     )
-    target = geometric_inverse_one_plus_p1(n)
+    target = geometric_inverse_one_plus_p1_t(n).evaluate_t(1)
     diff = _first_difference(at_one, target, max_degree)
     if diff is not None:
         raise CheckFailed(

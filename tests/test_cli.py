@@ -88,6 +88,21 @@ def test_os_character_output(capsys):
     assert identity["g_prime"] == "-2/1"
 
 
+@pytest.mark.parametrize("label, classes", [("D5", 18), ("F4", 25)])
+def test_main_check_runs_up_to_twenty_five_hyperplanes(capsys, label, classes):
+    # D5 (20 hyperplanes) and F4 (24) lie inside the arrangement-character cap
+    code, out, _ = run_cli(capsys, "verify", "main", label)
+    assert code == 0, out
+    assert out.startswith(f"[PASS] main {label}")
+    assert f"    classes: {classes}\n" in out
+
+
+def test_os_character_f4(capsys):
+    code, out, err = run_cli(capsys, "os-character", "F4")
+    assert code == 0, err
+    assert out.startswith("F4: graded dimensions 1, 24, 190, 552, 385\n")
+
+
 def test_verify_single_checks(capsys):
     for check, label in [("hf", "B3"), ("main", "A3"), ("formula", "E8"),
                          ("p-mobius", "D4"), ("antichain-lemmas", "F4")]:

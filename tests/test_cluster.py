@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from coxcat import kernels
 from coxcat.cluster import (
     ClusterComplex,
     compatibility_degree,
@@ -84,6 +85,31 @@ def test_facet_counts_match_antichain_totals():
         n_max, min_size = complex_.maximal_face_count()
         assert n_max == enumerate_antichains(rs).total
         assert min_size == rs.rank, "the complex is pure"
+
+
+def extendability_scan(complex_):
+    """Maximal faces by testing each face against every outside vertex."""
+    faces = set(kernels.iter_cliques(complex_.adjacency))
+    maximal = []
+    for mask in faces:
+        extendable = False
+        for v in range(complex_.n_vertices):
+            if not (mask >> v) & 1 and (mask & complex_.adjacency[v]) == mask:
+                extendable = True
+                break
+        if not extendable:
+            maximal.append(mask)
+    sizes = {bin(m).count("1") for m in maximal}
+    return len(maximal), min(sizes)
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"],
+)
+def test_maximal_faces_match_extendability_scan(label):
+    complex_ = ClusterComplex(build_root_system(label))
+    assert complex_.maximal_face_count() == extendability_scan(complex_)
 
 
 def test_a3_has_fourteen_facets():

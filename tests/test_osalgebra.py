@@ -1,15 +1,18 @@
 """Arrangement cohomology characters, the (1-t) quotient, and identities."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxcat.errors import CapacityExceeded, CheckFailed
-from coxcat.exact import UniPoly, unipoly_divide_exact
+from coxcat.exact import GoldenNumber, UniPoly, unipoly_divide_exact
 from coxcat.groups import generate_group
 from coxcat.osalgebra import (
     OSAlgebra,
-    UniformRank2Matroid,
     VectorMatroid,
     build_os_algebra,
     check_B_gprime_lemma,
@@ -46,6 +49,189 @@ def test_capacity_guard():
         build_os_algebra(build_root_system("H4"))
     with pytest.raises(CapacityExceeded):
         build_os_algebra(build_root_system("E6"))
+    with pytest.raises(CapacityExceeded, match=r"I2\(26\): needs \|hyperplanes\| <= 25$"):
+        build_os_algebra(build_root_system("I2(26)"))
+    # the largest dihedral arrangement inside the cap
+    assert build_os_algebra(build_root_system("I2(25)")).dims == (1, 25, 24)
+
+
+# The engine the rank oracle replaced: Gauss-Jordan elimination over the
+# rationals or Q(phi), re-solved on every query, and a separate oracle for
+# the dihedral line arrangements.  Kept here as the differential reference.
+
+
+def _ref_is_zero(x) -> bool:
+    return x.is_zero() if isinstance(x, GoldenNumber) else x == 0
+
+
+class ReferenceVectorMatroid:
+    def __init__(self, vectors):
+        self.vectors = [tuple(v) for v in vectors]
+        self.dim = len(self.vectors[0]) if self.vectors else 0
+
+    def _solve(self, columns, target):
+        rows = self.dim
+        k = len(columns)
+        aug = [
+            [self.vectors[c][r] for c in columns] + [self.vectors[target][r]]
+            for r in range(rows)
+        ]
+        pivot_cols = []
+        r = 0
+        for col in range(k):
+            pivot = None
+            for rr in range(r, rows):
+                if not _ref_is_zero(aug[rr][col]):
+                    pivot = rr
+                    break
+            if pivot is None:
+                continue
+            aug[r], aug[pivot] = aug[pivot], aug[r]
+            inv = (
+                aug[r][col].inverse()
+                if isinstance(aug[r][col], GoldenNumber)
+                else Fraction(1) / aug[r][col]
+            )
+            aug[r] = [x * inv for x in aug[r]]
+            for rr in range(rows):
+                if rr != r and not _ref_is_zero(aug[rr][col]):
+                    f = aug[rr][col]
+                    aug[rr] = [a - f * b for a, b in zip(aug[rr], aug[r])]
+            pivot_cols.append(col)
+            r += 1
+        for rr in range(r, rows):
+            if not _ref_is_zero(aug[rr][k]):
+                return None
+        coeffs = [self.vectors[0][0] * 0] * k
+        for row, col in enumerate(pivot_cols):
+            coeffs[col] = aug[row][k]
+        return coeffs
+
+    def is_independent(self, subset):
+        if not subset:
+            return True
+        body, last = subset[:-1], subset[-1]
+        if not self.is_independent(body):
+            return False
+        return self._solve(body, last) is None
+
+    def fundamental_circuit(self, base, extra):
+        coeffs = self._solve(base, extra)
+        if coeffs is None:
+            return None
+        members = [extra] + [c for c, v in zip(base, coeffs) if not _ref_is_zero(v)]
+        return tuple(sorted(members))
+
+
+class ReferenceUniformRank2Matroid:
+    def __init__(self, n):
+        self.n = n
+
+    def is_independent(self, subset):
+        return len(subset) <= 2
+
+    def fundamental_circuit(self, base, extra):
+        if len(base) < 2:
+            return None
+        return tuple(sorted((extra,) + tuple(base[:2])))
+
+
+def _reference_matroid(rs):
+    if rs.family == "I":
+        return ReferenceUniformRank2Matroid(rs.n_positive)
+    return ReferenceVectorMatroid(rs.positive_roots)
+
+
+def _small_subsets(n, max_size):
+    for size in range(max_size + 1):
+        yield from itertools.combinations(range(n), size)
+
+
+def _assert_same_matroid(rs, subsets, bases_and_extras):
+    new = build_os_algebra(rs).matroid
+    ref = _reference_matroid(rs)
+    for subset in subsets:
+        assert new.is_independent(subset) == ref.is_independent(subset), subset
+    checked = 0
+    for base, extra in bases_and_extras:
+        if not ref.is_independent(base):
+            continue
+        got = new.fundamental_circuit(base, extra)
+        assert got == ref.fundamental_circuit(base, extra), (base, extra)
+        checked += got is not None
+    assert checked > 0
+
+
+@pytest.mark.parametrize("label", ["A3", "A4", "B3", "D4", "G2", "I2(5)", "I2(8)"])
+def test_rank_oracle_matches_reference_engine_exhaustively(label):
+    rs = build_root_system(label)
+    n = rs.n_positive
+    _assert_same_matroid(
+        rs,
+        _small_subsets(n, rs.rank + 1),
+        (
+            (base, extra)
+            for base in itertools.combinations(range(n), rs.rank)
+            for extra in range(n)
+            if extra not in base
+        ),
+    )
+
+
+@pytest.mark.parametrize("label", ["B4", "H3"])
+def test_rank_oracle_matches_reference_engine_on_a_sample(label):
+    rs = build_root_system(label)
+    n = rs.n_positive
+    rng = random.Random(31)
+    subsets = [
+        tuple(sorted(rng.sample(range(n), rng.randint(1, rs.rank + 1))))
+        for _ in range(300)
+    ]
+    pairs = []
+    for _ in range(300):
+        picked = rng.sample(range(n), rs.rank + 1)
+        pairs.append((tuple(sorted(picked[:-1])), picked[-1]))
+    _assert_same_matroid(rs, subsets, pairs)
+
+
+_RANK_AXIOM_TYPES = ("A4", "B4", "H3")
+
+
+@st.composite
+def _subsets_of_one_arrangement(draw):
+    label = draw(st.sampled_from(_RANK_AXIOM_TYPES))
+    n = build_root_system(label).n_positive
+    subset = st.frozensets(st.integers(0, n - 1), max_size=n)
+    return label, draw(subset), draw(subset)
+
+
+def _sorted(s):
+    return tuple(sorted(s))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_subsets_of_one_arrangement())
+def test_rank_axioms(drawn):
+    label, s, t = drawn
+    rs = build_root_system(label)
+    matroid = VectorMatroid(rs.positive_roots)
+    r = matroid.rank
+    assert 0 <= r(_sorted(s)) <= min(len(s), rs.rank)
+    assert r(_sorted(s & t)) <= r(_sorted(s)) <= r(_sorted(s | t))
+    assert r(_sorted(s | t)) + r(_sorted(s & t)) <= r(_sorted(s)) + r(_sorted(t))
+    # a greedy basis of s, and the circuit each other member of s closes
+    base = ()
+    for x in sorted(s):
+        if matroid.is_independent(base + (x,)):
+            base += (x,)
+    assert len(base) == r(_sorted(s))
+    for extra in sorted(s - set(base)):
+        circuit = matroid.fundamental_circuit(base, extra)
+        assert circuit is not None and extra in circuit
+        assert not matroid.is_independent(circuit)
+        for size in range(len(circuit)):
+            for part in itertools.combinations(circuit, size):
+                assert matroid.is_independent(part)
 
 
 @pytest.mark.parametrize("label", ORACLE_TYPES)
@@ -181,8 +367,9 @@ def test_dims_invariant_under_hyperplane_reordering():
 
 
 def test_uniform_matroid_dims():
+    # I2(m) is m lines in the plane, the uniform matroid U_{2,m}
     for m in (5, 6, 9):
-        algebra = OSAlgebra(UniformRank2Matroid(m), m, 2)
+        algebra = build_os_algebra(build_root_system(f"I2({m})"))
         assert algebra.dims == (1, m, m - 1)
 
 

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from coxcat.errors import UsageError
+from coxcat.errors import CheckFailed, UsageError
 from coxcat.exact import BiPoly
 from coxcat.poset import (
     AntichainTally,
@@ -99,16 +99,53 @@ def test_mobius_inversion_matches_direct(label):
 @pytest.mark.parametrize("label", CRYSTALLOGRAPHIC_RANK_LE_8)
 def test_antichain_lemmas(label):
     rs = build_root_system(label)
-    summary = check_antichain_lemmas(RootPoset(rs))
+    summary = check_antichain_lemmas(rs)
     assert summary["p_top"] == rs.full_reflection_count()
 
 
 def test_lemma_witness_values():
-    assert check_antichain_lemmas(RootPoset(build_root_system("A3")))["p_top"] == 1
-    assert check_antichain_lemmas(RootPoset(build_root_system("B3")))["p_top"] == 3
-    assert check_antichain_lemmas(RootPoset(build_root_system("G2")))["p_top"] == 4
-    assert check_antichain_lemmas(RootPoset(build_root_system("D4")))["p_top"] == 2
-    assert check_antichain_lemmas(RootPoset(build_root_system("F4")))["p_top"] == 10
+    assert check_antichain_lemmas(build_root_system("A3"))["p_top"] == 1
+    assert check_antichain_lemmas(build_root_system("B3"))["p_top"] == 3
+    assert check_antichain_lemmas(build_root_system("G2"))["p_top"] == 4
+    assert check_antichain_lemmas(build_root_system("D4"))["p_top"] == 2
+    assert check_antichain_lemmas(build_root_system("F4"))["p_top"] == 10
+
+
+def test_full_poset_is_tallied_once_per_command(monkeypatch):
+    import coxcat.poset as poset
+    from coxcat.reports import run_check
+
+    enumerate_antichains.cache_clear()
+    built = []
+
+    def counting_root_poset(rs_arg, nodes=None):
+        built.append(nodes)
+        return RootPoset(rs_arg, nodes)
+
+    monkeypatch.setattr(poset, "RootPoset", counting_root_poset)
+    for check in ("antichain-lemmas", "p-mobius", "hf"):
+        assert run_check(check, "B3").passed
+    # one full poset, and each proper parabolic (a path of one or two nodes) once
+    assert built.count(None) == 1
+    assert len(built) == len(set(built))
+    assert sorted(len(nodes) for nodes in built if nodes) == [1, 1, 1, 2, 2]
+
+
+def test_failed_lemma_builds_the_poset_for_its_witness(monkeypatch):
+    import coxcat.poset as poset
+
+    rs = build_root_system("A3")
+    true_tally = enumerate_antichains(rs)
+    # a second antichain of cardinality n that is not the set of simples
+    extra = ((3, 2, 0b11), 1)
+    broken = AntichainTally(
+        counts=tuple(sorted(true_tally.counts + (extra,))),
+        n_edges=true_tally.n_edges,
+        rank=true_tally.rank,
+    )
+    monkeypatch.setattr(poset, "enumerate_antichains", lambda rs_arg: broken)
+    with pytest.raises(CheckFailed, match=r"^\(a\) maximal antichains .*: witness None$"):
+        check_antichain_lemmas(rs)
 
 
 def test_narayana_and_p_are_palindromic():
