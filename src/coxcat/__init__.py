@@ -23,7 +23,6 @@ from .errors import (  # noqa: F401
 from .exact import (  # noqa: F401
     BiPoly,
     GoldenNumber,
-    Rational,
     UniPoly,
     bipoly_substitute,
     partitions_of,

@@ -4,18 +4,19 @@ Vertices are indexed 0..n+N-1: vertex i < n is the negative simple -alpha_i
 (node i), vertex n+j is positive root j.  Compatibility is defined through
 the two rotation maps tau induced by the diagram bipartition; two vertices
 are compatible when both mutual compatibility degrees vanish, and the faces
-of the complex are exactly the cliques of that relation.
+of the complex are exactly the cliques of that relation.  One clique walk
+yields both the face polynomial F and the maximal faces (the clusters).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, Tuple
 
 from . import kernels
-from .errors import CapacityExceeded, CheckFailed, InternalError, UsageError
+from .errors import CheckFailed, InternalError, UsageError
 from .exact import BiPoly, bipoly_substitute
-from .poset import enumerate_antichains, h_polynomial
+from .poset import check_catalan_budget, enumerate_antichains, h_polynomial
 from .rootsys import RootSystem
 
 
@@ -86,14 +87,15 @@ def compatibility_degree(rs: RootSystem, u: int, v: int) -> int:
 
 
 class ClusterComplex:
-    """Compatibility graph of a crystallographic root system."""
+    """Compatibility graph of a crystallographic root system.
+
+    F and the maximal faces are read off one clique walk, made on first use.
+    """
 
     def __init__(self, rs: RootSystem, allow_large: bool = False):
         _check_crystallographic(rs)
-        if rs.rank > 6 and not allow_large:
-            raise CapacityExceeded(
-                f"{rs.label}: rank > 6 cluster complex needs allow_large=True"
-            )
+        if not allow_large:
+            check_catalan_budget(rs)
         self.rs = rs
         n_vertices = vertex_count(rs)
         self.n_vertices = n_vertices
@@ -107,38 +109,27 @@ class ClusterComplex:
                     self.adjacency[u] |= 1 << v
                     self.adjacency[v] |= 1 << u
 
-    def f_tally(self) -> BiPoly:
-        """F(x, y): face counts by x^(#positive vertices) y^(#negative simples)."""
-        raw = kernels.clique_tally(
+    @cached_property
+    def _faces(self) -> Dict[kernels.TallyKey, int]:
+        """Faces keyed by (positive vertices, negative simples, 0, maximal)."""
+        return kernels.clique_tally(
             self.adjacency,
             special_mask=(1 << self.rs.rank) - 1,
             edge_masks=[0] * self.n_vertices,
             max_size=self.rs.rank,
         )
+
+    def f_tally(self) -> BiPoly:
+        """F(x, y): face counts by x^(#positive vertices) y^(#negative simples)."""
         out: dict = {}
-        for (k, l, _), c in raw.items():
+        for (k, l, _, _), c in self._faces.items():
             out[(k, l)] = out.get((k, l), 0) + c
         return BiPoly(out)
 
     def maximal_face_count(self) -> Tuple[int, int]:
-        """(number of maximal faces, minimum size among them).
-
-        A face is maximal when no vertex is compatible with all its members,
-        i.e. when the AND of the members' adjacency masks is 0.
-        """
-        count = 0
-        min_size = self.n_vertices
-        for mask in kernels.iter_cliques(self.adjacency):
-            common = -1
-            rest = mask
-            while rest and common:
-                low = rest & -rest
-                common &= self.adjacency[low.bit_length() - 1]
-                rest ^= low
-            if not common:
-                count += 1
-                min_size = min(min_size, mask.bit_count())
-        return count, min_size
+        """(number of maximal faces, minimum size among them)."""
+        maximal = [(k + l, c) for (k, l, _, is_max), c in self._faces.items() if is_max]
+        return sum(c for _, c in maximal), min(size for size, _ in maximal)
 
 
 def f_polynomial(rs: RootSystem, allow_large: bool = False) -> BiPoly:

@@ -16,8 +16,6 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import CheckFailed, InternalError
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 
@@ -186,10 +184,6 @@ class UniPoly:
     @staticmethod
     def one() -> "UniPoly":
         return UniPoly((1,))
-
-    @staticmethod
-    def t() -> "UniPoly":
-        return UniPoly((0, 1))
 
     @staticmethod
     def constant(c: Scalar) -> "UniPoly":
@@ -472,9 +466,6 @@ def bipoly_substitute(f: BiPoly, n: int) -> BiPoly:
     return out
 
 
-PartitionTuple = tuple
-
-
 def centralizer_order(parts: Sequence[int]) -> int:
     z = 1
     for value in set(parts):
@@ -486,7 +477,7 @@ def centralizer_order(parts: Sequence[int]) -> int:
     return z
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[PartitionTuple]:
+def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple]:
     """Yield the partitions of n as tuples, in reverse lexicographic order.
 
     partitions_of(3) yields (3,), (2, 1), (1, 1, 1).

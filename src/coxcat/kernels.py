@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Sequence, Tuple
 
-TallyKey = Tuple[int, int, int]
+TallyKey = Tuple[int, int, int, bool]
 
 # Kept because perfbench's setup probe records it; there is no compiled kernel.
 USING_COMPILED = False
@@ -23,34 +23,40 @@ def clique_tally(
 ) -> Dict[TallyKey, int]:
     """Count every clique (the empty one included).
 
-    Keys are (plain members, special members, OR of the members' edge masks),
-    where "special" means the vertex is in special_mask.  Raises ValueError
+    Keys are (plain members, special members, OR of the members' edge masks,
+    maximal), where "special" means the vertex is in special_mask and a
+    clique is maximal when no vertex is adjacent to all its members, i.e.
+    when the AND of the members' adjacency masks is 0.  Raises ValueError
     if a clique exceeds max_size members.
     """
     n = len(adj)
     counts: Dict[TallyKey, int] = {}
 
-    def rec(cand: int, j: int, l: int, em: int) -> None:
+    def rec(cand: int, common: int, j: int, l: int, em: int) -> None:
         if j + l > max_size:
             raise ValueError(f"clique larger than the stated bound {max_size}")
-        key = (j, l, em)
+        key = (j, l, em, not common)
         counts[key] = counts.get(key, 0) + 1
         while cand:
             low = cand & -cand
             v = low.bit_length() - 1
             cand ^= low
-            rest = cand & adj[v]
+            av = adj[v]
             if (special_mask >> v) & 1:
-                rec(rest, j, l + 1, em | edge_masks[v])
+                rec(cand & av, common & av, j, l + 1, em | edge_masks[v])
             else:
-                rec(rest, j + 1, l, em | edge_masks[v])
+                rec(cand & av, common & av, j + 1, l, em | edge_masks[v])
 
-    rec((1 << n) - 1, 0, 0, 0)
+    everyone = (1 << n) - 1
+    rec(everyone, everyone, 0, 0, 0)
     return counts
 
 
 def iter_cliques(adj: Sequence[int]) -> Iterator[int]:
-    """Yield every clique as a member bitmask, the empty clique first."""
+    """Yield every clique as a member bitmask, the empty clique first.
+
+    For callers that need the members themselves; clique_tally only counts.
+    """
     n = len(adj)
 
     def rec(members: int, cand: int) -> Iterator[int]:

@@ -16,11 +16,13 @@ from functools import lru_cache
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from . import kernels
-from .errors import CapacityExceeded, CheckFailed, UsageError
+from .errors import CapacityExceeded, CheckFailed, InternalError, UsageError
 from .exact import BiPoly
 from .rootsys import RootSystem
 
-_RANK_CAP = 8  # enumeration refuses above this; every supported type fits
+# Both antichains and clusters number Cat(W); Cat(E8) is the largest
+# exceptional value, so every exceptional type fits.
+_CATALAN_BUDGET = 25_080
 
 
 class RootPoset:
@@ -29,10 +31,7 @@ class RootPoset:
     def __init__(self, rs: RootSystem, nodes: Optional[frozenset] = None):
         if not rs.crystallographic:
             raise UsageError(f"{rs.label} has no integer root poset")
-        if rs.rank > _RANK_CAP:
-            raise CapacityExceeded(
-                f"{rs.label}: rank {rs.rank} exceeds the antichain enumeration cap {_RANK_CAP}"
-            )
+        check_catalan_budget(rs)
         self.rs = rs
         self.nodes = frozenset(range(rs.rank)) if nodes is None else nodes
         self.root_ids = [
@@ -88,7 +87,7 @@ class AntichainTally:
             max_size=max(len(poset.nodes), 1),
         )
         counts = {}
-        for (j, l, em), c in raw.items():
+        for (j, l, em, _), c in raw.items():
             counts[(j + l, l, em)] = counts.get((j + l, l, em), 0) + c
         return AntichainTally(
             counts=tuple(sorted(counts.items())),
@@ -151,8 +150,18 @@ def generalized_catalan(rs: RootSystem) -> int:
     for e in rs.exponents:
         value *= Fraction(e + rs.coxeter_number + 1, e + 1)
     if value.denominator != 1:
-        raise ArithmeticError(f"{rs.label}: Catalan product is not an integer")
+        raise InternalError(f"{rs.label}: Catalan product {value} is not an integer")
     return value.numerator
+
+
+def check_catalan_budget(rs: RootSystem) -> None:
+    """Refuse to enumerate antichains or clusters when Cat(W) exceeds Cat(E8)."""
+    catalan = generalized_catalan(rs)
+    if catalan > _CATALAN_BUDGET:
+        raise CapacityExceeded(
+            f"{rs.label}: Cat(W) = {catalan} exceeds the enumeration budget "
+            f"{_CATALAN_BUDGET} = Cat(E8)"
+        )
 
 
 def p_polynomial_mobius(rs: RootSystem) -> BiPoly:

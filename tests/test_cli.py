@@ -170,7 +170,7 @@ def test_usage_errors_exit_two(capsys):
     assert "coxcat:" in err
     code, _, err = run_cli(capsys, "verify", "main", "E8")
     assert code == 2
-    code, _, err = run_cli(capsys, "verify", "hf", "A7")
+    code, _, err = run_cli(capsys, "verify", "hf", "D9")
     assert code == 2
     code, _, err = run_cli(capsys, "fpoly", "I2(5)")
     assert code == 2  # non-crystallographic
@@ -179,7 +179,7 @@ def test_usage_errors_exit_two(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("antichains", "A9"),
+        ("antichains", "A10"),
         ("gerst", "--max-degree", "0"),
         ("gerst", "--max-degree", "-1"),
         ("verify", "gerst", "A2", "--max-degree", "0"),
@@ -202,12 +202,33 @@ def test_out_of_range_requests_exit_two_in_one_line(capsys, argv):
 
 
 def test_fpoly_allow_large_override(capsys):
-    code, _, _ = run_cli(capsys, "fpoly", "A7", "--json")
+    # Cat(D9) = 35750 is over the Cat(E8) budget
+    code, _, _ = run_cli(capsys, "fpoly", "D9", "--json")
     assert code == 2
-    code, out, _ = run_cli(capsys, "fpoly", "A7", "--allow-large", "--json")
+    code, out, _ = run_cli(capsys, "fpoly", "D9", "--allow-large", "--json")
     assert code == 0
     data = json.loads(out)
-    assert data["maximal_faces"] == 1430
+    assert data["maximal_faces"] == 35750
+
+
+@pytest.mark.parametrize("label", ["E7", "E8", "A9"])
+def test_verify_all_runs_enumerations_up_to_the_catalan_budget(capsys, label):
+    code, out, _ = run_cli(capsys, "verify", "all", label, "--json")
+    assert code == 0
+    reports = {r["check"]: r for r in json.loads(out)["reports"]}
+    for check in ("antichain-lemmas", "p-mobius", "hf"):
+        assert reports[check]["status"] == "pass"
+        assert "note" not in reports[check]["details"], (check, reports[check])
+
+
+def test_verify_all_notes_the_catalan_budget_beyond_it(capsys):
+    code, out, _ = run_cli(capsys, "verify", "all", "A10", "--json")
+    assert code == 0
+    reports = {r["check"]: r for r in json.loads(out)["reports"]}
+    for check in ("antichain-lemmas", "p-mobius", "hf"):
+        note = reports[check]["details"]["note"]
+        assert note.startswith("not applicable: outside oracle capacity"), note
+        assert "A10: Cat(W) = 58786 exceeds the enumeration budget 25080" in note
 
 
 def test_max_degree_is_plumbed(capsys):

@@ -144,5 +144,5 @@ def test_a2_golden_h_and_f_values():
 def test_large_rank_needs_flag():
     from coxcat.errors import CapacityExceeded
 
-    with pytest.raises(CapacityExceeded):
-        ClusterComplex(build_root_system("A7"))
+    with pytest.raises(CapacityExceeded, match=r"A10: Cat\(W\) = 58786 exceeds"):
+        ClusterComplex(build_root_system("A10"))

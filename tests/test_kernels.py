@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from coxcat import kernels
+from coxcat.cli import main
 from coxcat.kernels import clique_tally, iter_cliques
 
 
@@ -25,7 +27,12 @@ def brute_force_tally(adj, special_mask, edge_masks, max_size):
             em = 0
             for v in subset:
                 em |= edge_masks[v]
-            key = (plain, special, em)
+            maximal = not any(
+                all((adj[a] >> v) & 1 for a in subset)
+                for v in range(n)
+                if v not in subset
+            )
+            key = (plain, special, em, maximal)
             counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -52,7 +59,8 @@ def test_pure_kernel_matches_brute_force(seed):
 
 
 def test_empty_graph():
-    assert clique_tally([], 0, [], 0) == {(0, 0, 0): 1}
+    # the empty clique is the only face, hence maximal
+    assert clique_tally([], 0, [], 0) == {(0, 0, 0, True): 1}
 
 
 def test_max_size_bound_enforced():
@@ -65,9 +73,7 @@ def test_wide_graph_beyond_two_machine_words():
     # 129 isolated vertices: adjacency masks wider than two 64-bit words
     adj = [0] * 129
     counts = clique_tally(adj, 0, [0] * 129, 129)
-    assert counts[(0, 0, 0)] == 1
-    assert counts[(1, 0, 0)] == 129
-    assert (2, 0, 0) not in counts
+    assert counts == {(0, 0, 0, False): 1, (1, 0, 0, True): 129}
 
 
 def test_iter_cliques_enumerates_each_once():
@@ -77,3 +83,21 @@ def test_iter_cliques_enumerates_each_once():
     assert len(seen) == len(set(seen))
     expected_total = sum(brute_force_tally(adj, 0, [0] * 10, 10).values())
     assert len(seen) == expected_total
+
+
+def test_fpoly_walks_the_complex_once(capsys, monkeypatch):
+    calls = []
+    tally = kernels.clique_tally
+
+    def counted_tally(*args, **kwargs):
+        calls.append("clique_tally")
+        return tally(*args, **kwargs)
+
+    def no_walk(adj):
+        raise AssertionError("fpoly walked the complex a second time")
+
+    monkeypatch.setattr(kernels, "clique_tally", counted_tally)
+    monkeypatch.setattr(kernels, "iter_cliques", no_walk)
+    assert main(["fpoly", "A3"]) == 0
+    assert calls == ["clique_tally"]
+    assert "maximal faces: 14 (smallest has size 3)" in capsys.readouterr().out

@@ -1,10 +1,11 @@
 """Root poset antichains and the N, H, P polynomials."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
-from coxcat.errors import CheckFailed, UsageError
+from coxcat.errors import CheckFailed, InternalError, UsageError
 from coxcat.exact import BiPoly
 from coxcat.poset import (
     AntichainTally,
@@ -83,6 +84,13 @@ def test_totals_equal_generalized_catalan(label):
 
 def test_e8_total_value():
     assert generalized_catalan(build_root_system("E8")) == 25080
+
+
+def test_non_integer_catalan_product_is_a_bug():
+    # (1 + 2 + 1)/(1 + 1) * (2 + 2 + 1)/(2 + 1) = 10/3
+    stub = SimpleNamespace(label="stub", exponents=(1, 2), coxeter_number=2)
+    with pytest.raises(InternalError, match="stub: Catalan product 10/3 is not an integer"):
+        generalized_catalan(stub)
 
 
 @pytest.mark.parametrize(
