@@ -25,60 +25,63 @@ def _check_crystallographic(rs: RootSystem) -> None:
         raise UsageError(f"{rs.label}: cluster complex needs integer coordinates")
 
 
-@lru_cache(maxsize=None)
-def _sigma_tables(label: str) -> Tuple[tuple, tuple]:
-    """Root-permutation tables of the two bipartite products of simples."""
-    from .rootsys import build_root_system
-
-    rs = build_root_system(label)
-    out = []
-    for part in (rs.datum.iplus, rs.datum.iminus):
-        table = rs.identity_table()
-        for i in sorted(part):
-            s = rs.simple_tables[i]
-            table = tuple(s[x] for x in table)
-        out.append(table)
-    return tuple(out)
-
-
 def vertex_count(rs: RootSystem) -> int:
     return rs.rank + rs.n_positive
 
 
+@lru_cache(maxsize=None)
+def _tau_tables(rs: RootSystem) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The rotations tau_+ and tau_- as permutations of the vertices.
+
+    tau_eps is the product of the simple reflections of one bipartition
+    half on the positive roots, and on a negative simple of that half it
+    is the product applied to its negative; the other negative simples
+    stay fixed.
+    """
+    _check_crystallographic(rs)
+    n, N = rs.rank, rs.n_positive
+    vertex_of_simple = {pos: i for i, pos in enumerate(rs.simple_positions)}
+    out = []
+    for part in (rs.datum.iplus, rs.datum.iminus):
+        sigma = rs.identity_table()
+        for i in sorted(part):
+            s = rs.simple_tables[i]
+            sigma = tuple(s[x] for x in sigma)
+        images = []
+        for v in range(n + N):
+            if v < n:
+                if v not in part:
+                    images.append(v)
+                    continue
+                root = sigma[rs.neg(rs.simple_positions[v])]
+            else:
+                root = sigma[v - n]
+            if root < N:
+                images.append(n + root)
+            elif root - N in vertex_of_simple:
+                images.append(vertex_of_simple[root - N])
+            else:
+                raise InternalError(f"{rs.label}: tau image is a non-simple negative root")
+        out.append(tuple(images))
+    return out[0], out[1]
+
+
 def tau_map(rs: RootSystem, eps: int, v: int) -> int:
     """Rotation map on vertices; eps is +1 or -1 picking the bipartition half."""
-    _check_crystallographic(rs)
-    part = rs.datum.iplus if eps > 0 else rs.datum.iminus
-    sigma = _sigma_tables(rs.label)[0 if eps > 0 else 1]
-    n, N = rs.rank, rs.n_positive
-    if v < n:
-        if v not in part:
-            return v
-        root = sigma[rs.neg(rs.simple_positions[v])]
-    else:
-        root = sigma[v - n]
-    if root < N:
-        return n + root
-    j = root - N
-    for i in range(n):
-        if rs.simple_positions[i] == j:
-            return i
-    raise InternalError(f"{rs.label}: tau image is a non-simple negative root")
+    return _tau_tables(rs)[0 if eps > 0 else 1][v]
 
 
 def compatibility_degree(rs: RootSystem, u: int, v: int) -> int:
     """Rotate the pair until u is a negative simple, then read off v."""
-    _check_crystallographic(rs)
+    tau_plus, tau_minus = _tau_tables(rs)
     n = rs.rank
     bound = 2 * (rs.coxeter_number + 2)
-    eps = 1
     steps = 0
     while u >= n:
         if steps >= bound:
             raise InternalError(f"{rs.label}: compatibility rotation exceeded {bound}")
-        u = tau_map(rs, eps, u)
-        v = tau_map(rs, eps, v)
-        eps = -eps
+        tau = tau_minus if steps % 2 else tau_plus
+        u, v = tau[u], tau[v]
         steps += 1
     if v < n:
         return 0

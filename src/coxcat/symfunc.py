@@ -8,6 +8,13 @@ module builds the graded series Com = sum h_n, the t-graded Lie series
 arrangement characters of the symmetric groups), their plethysm Gerst,
 and the d/dp_1 identities that force almost all of Gerst to vanish after
 dividing by (1-t) and setting t = 1.
+
+Gerst is not expanded through `plethysm`.  Since 1 + Com o Lie =
+exp(sum_k p_k[Lie]/k) (Macdonald, Symmetric Functions, I.2), it is built
+by the exponential recurrence n G_n = sum_j j A_j G_{n-j} over integer
+class values z_lambda c_lambda(t), with one exact division by n per
+degree.  `plethysm` stays the defining operation: the calibration checks
+the recurrence against it at the oracle degrees n <= 4 on every run.
 """
 
 from __future__ import annotations
@@ -15,12 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import CheckFailed, InternalError
 from .exact import UniPoly, centralizer_order, partitions_of, unipoly_divide_exact
 
 PartitionKey = Tuple[int, ...]
+IntPoly = Tuple[int, ...]  # integer coefficients of 1, t, t^2, ...
+# one graded piece by class: chi(C_lambda)(t) = z_lambda c_lambda(t)
+ClassValues = Dict[PartitionKey, IntPoly]
 
 
 def _as_unipoly(c) -> UniPoly:
@@ -225,26 +236,123 @@ def complete_homogeneous_sum(truncation: int) -> SymFunc:
     return SymFunc(terms, truncation)
 
 
+def _lie_class_values(truncation: int, twist: bool) -> List[ClassValues]:
+    """Class values of (-t)^(n-1) Lie_n, indexed by the degree n.
+
+    Lie_n = (1/n) sum_{d | n} mu(d) p_d^{n/d}, so its class value on
+    (d^{n/d}) is mu(d) d^{n/d-1} (n/d-1)!; the twist multiplies it by
+    (-1)^(n - n/d).
+    """
+    out: List[ClassValues] = [{} for _ in range(truncation + 1)]
+    for n in range(1, truncation + 1):
+        for d in range(1, n + 1):
+            mu = _mobius(d)
+            if n % d or mu == 0:
+                continue
+            m = n // d
+            sign = (-1) ** (n - m) if twist else 1
+            value = (-1) ** (n - 1) * mu * sign * d ** (m - 1) * factorial(m - 1)
+            out[n][(d,) * m] = (0,) * (n - 1) + (value,)
+    return out
+
+
+def _exponent_class_values(lie: List[ClassValues], truncation: int) -> List[ClassValues]:
+    """Class values of A = sum_k p_k[Lie]/k, indexed by the degree.
+
+    p_k[p_lambda / z_lambda] / k = k^(l(lambda)-1) p_{k lambda} / z_{k lambda},
+    together with t -> t^k.
+    """
+    acc: List[Dict[PartitionKey, List[int]]] = [{} for _ in range(truncation + 1)]
+    for m in range(1, truncation + 1):
+        for lam, poly in lie[m].items():
+            for k in range(1, truncation // m + 1):
+                stretched = [0] * (k * (len(poly) - 1) + 1)
+                stretched[::k] = poly
+                key = tuple(k * part for part in lam)
+                _accumulate(acc[k * m], key, stretched, k ** (len(lam) - 1))
+    return [{lam: _strip(row) for lam, row in d.items() if any(row)} for d in acc]
+
+
+def _merge(lam: PartitionKey, mu: PartitionKey) -> Tuple[PartitionKey, int]:
+    """lam union mu, and prod_i C(m_i + m'_i, m'_i): the ways to pick mu's
+    cycles among those of a permutation of cycle type lam union mu."""
+    key = tuple(sorted(lam + mu, reverse=True))
+    ways = 1
+    for part in set(mu):
+        ways *= comb(key.count(part), mu.count(part))
+    return key, ways
+
+
+def _accumulate(
+    acc: Dict[PartitionKey, List[int]], key: PartitionKey, poly, factor: int
+) -> None:
+    row = acc.setdefault(key, [])
+    if len(row) < len(poly):
+        row.extend([0] * (len(poly) - len(row)))
+    for i, c in enumerate(poly):
+        row[i] += factor * c
+
+
+def _strip(row) -> IntPoly:
+    row = list(row)
+    while row and row[-1] == 0:
+        row.pop()
+    return tuple(row)
+
+
+def _int_poly_mul(a: IntPoly, b: IntPoly) -> List[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _gerst_class_values(truncation: int, twist: bool) -> List[ClassValues]:
+    """Class values of 1 + G = 1 + Com o Lie, indexed by the degree.
+
+    1 + G = exp(A) and the degree operator is a derivation, which gives
+    n G_n = sum_{j=1..n} j A_j G_{n-j}; the class value of a product is the
+    sum over its splittings weighted by `_merge`.  The division by n must
+    be exact.
+    """
+    a = _exponent_class_values(_lie_class_values(truncation, twist), truncation)
+    g: List[ClassValues] = [{(): (1,)}]
+    for n in range(1, truncation + 1):
+        acc: Dict[PartitionKey, List[int]] = {}
+        for j in range(1, n + 1):
+            for lam, p in a[j].items():
+                for mu, q in g[n - j].items():
+                    key, ways = _merge(lam, mu)
+                    _accumulate(acc, key, _int_poly_mul(p, q), j * ways)
+        g_n: ClassValues = {}
+        for key, row in acc.items():
+            if any(c % n for c in row):
+                raise InternalError(
+                    f"Gerst recurrence: degree-{n} class value at {key} "
+                    f"is not divisible by {n}"
+                )
+            poly = _strip(c // n for c in row)
+            if poly:
+                g_n[key] = poly
+        g.append(g_n)
+    return g
+
+
+def _from_class_values(values: List[ClassValues], truncation: int) -> SymFunc:
+    return characteristic_map(
+        {lam: UniPoly(poly) for graded in values for lam, poly in graded.items()},
+        truncation,
+    )
+
+
 def sigma_t_lie(truncation: int, twist: bool) -> SymFunc:
     """Degree-n summand (-t)^(n-1) Lie_n, optionally sign-twisted by omega.
 
     Lie_n = (1/n) sum_{d | n} mu(d) p_d^{n/d}; the twist multiplies the
     p_d^{n/d} term by (-1)^(n - n/d).
     """
-    terms: Dict[PartitionKey, UniPoly] = {}
-    for n in range(1, truncation + 1):
-        t_factor = UniPoly.monomial(Fraction((-1) ** (n - 1)), n - 1)
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            mu = _mobius(d)
-            if mu == 0:
-                continue
-            sign = (-1) ** (n - n // d) if twist else 1
-            lam = (d,) * (n // d)
-            coeff = t_factor * UniPoly.constant(Fraction(mu * sign, n))
-            terms[lam] = terms.get(lam, UniPoly.zero()) + coeff
-    return SymFunc(terms, truncation)
+    return _from_class_values(_lie_class_values(truncation, twist), truncation)
 
 
 def geometric_inverse_one_plus_p1_t(truncation: int) -> SymFunc:
@@ -272,7 +380,8 @@ class SeriesBundle:
 def make_bundle(truncation: int, twist: bool) -> SeriesBundle:
     com = complete_homogeneous_sum(truncation)
     lie = sigma_t_lie(truncation, twist)
-    gerst = plethysm(com, lie)
+    # index 0 is the constant 1 of exp(A), which Gerst does not have
+    gerst = _from_class_values(_gerst_class_values(truncation, twist)[1:], truncation)
     return SeriesBundle(
         truncation=truncation, twist=twist, com=com, lie=lie, gerst=gerst
     )
@@ -313,8 +422,9 @@ ORACLE_MAX_N = 4  # the S_n oracles of the calibration run up to this degree
 def calibrate_sigma_t_lie(oracle_max_n: int = ORACLE_MAX_N) -> dict:
     """Pick the Lie-series sign variant that reproduces the S_n oracle.
 
-    Both the plain formula and its omega-twist are expanded through the
-    plethysm with Com at truncation oracle_max_n; the graded components for
+    Both the plain formula and its omega-twist are expanded into Gerst at
+    truncation oracle_max_n, and each expansion must equal the plethysm
+    Com o Lie, the definition the recurrence replaces; the graded components for
     n = 2 .. oracle_max_n are compared with the reflection-arrangement
     characters of S_n.  A graded part of degree n does not depend on the
     truncation once it is at least n, so the decision holds for every
@@ -322,6 +432,12 @@ def calibrate_sigma_t_lie(oracle_max_n: int = ORACLE_MAX_N) -> dict:
     """
     degrees = list(range(2, oracle_max_n + 1))
     surviving = {twist: make_bundle(oracle_max_n, twist) for twist in (False, True)}
+    for twist, bundle in surviving.items():
+        if bundle.gerst != plethysm(bundle.com, bundle.lie):
+            raise InternalError(
+                f"Gerst recurrence (twist={twist}) differs from plethysm(Com, Lie) "
+                f"at truncation {oracle_max_n}"
+            )
     detail = {}
     for n in degrees:
         oracle = _symmetric_group_oracle(n, oracle_max_n)
@@ -389,9 +505,7 @@ def verify_second_derivative_identity(bundle: SeriesBundle, max_degree: int) -> 
     n = bundle.truncation
     lhs = dp1(dp1(bundle.gerst))
     inv = geometric_inverse_one_plus_p1_t(n)
-    rhs = (
-        (SymFunc.one(n) + bundle.gerst) * inv * inv
-    ).scale(UniPoly((1, -1)))
+    rhs = ((SymFunc.one(n) + bundle.gerst) * (inv * inv)).scale(UniPoly((1, -1)))
     diff = _first_difference(lhs, rhs, max_degree)
     if diff is not None:
         raise CheckFailed(

@@ -245,6 +245,15 @@ def test_max_degree_is_plumbed(capsys):
     assert identity["z"] == 6
 
 
+def test_gerst_at_degree_twelve(capsys):
+    code, out, _ = run_cli(capsys, "gerst", "--max-degree", "12", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert [c["check"] for c in data["checks"]] == ["gerst", "bonzero"]
+    assert all(c["status"] == "pass" for c in data["checks"])
+    assert max(row["degree"] for row in data["degrees"]) == 12
+
+
 def test_gerst_text_output(capsys):
     code, out, _ = run_cli(capsys, "gerst", "--max-degree", "4")
     assert code == 0

@@ -1,5 +1,6 @@
 """Cluster complexes: rotations, compatibility, face polynomials."""
 
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -13,6 +14,7 @@ from coxcat.cluster import (
     verify_hf_conjecture,
     vertex_count,
 )
+from coxcat.errors import InternalError
 from coxcat.exact import BiPoly
 from coxcat.poset import enumerate_antichains
 from coxcat.rootsys import build_root_system
@@ -27,6 +29,54 @@ def test_tau_maps_are_involutions():
             images = [tau_map(rs, eps, v) for v in range(vertex_count(rs))]
             assert sorted(images) == list(range(vertex_count(rs)))
             assert all(images[images[v]] == v for v in range(vertex_count(rs)))
+
+
+# The rotation as computed per call before the tables, kept as the reference.
+@lru_cache(maxsize=None)
+def reference_sigma_tables(label):
+    rs = build_root_system(label)
+    out = []
+    for part in (rs.datum.iplus, rs.datum.iminus):
+        table = rs.identity_table()
+        for i in sorted(part):
+            s = rs.simple_tables[i]
+            table = tuple(s[x] for x in table)
+        out.append(table)
+    return tuple(out)
+
+
+def reference_tau_map(rs, eps, v):
+    part = rs.datum.iplus if eps > 0 else rs.datum.iminus
+    sigma = reference_sigma_tables(rs.label)[0 if eps > 0 else 1]
+    n, N = rs.rank, rs.n_positive
+    if v < n:
+        if v not in part:
+            return v
+        root = sigma[rs.neg(rs.simple_positions[v])]
+    else:
+        root = sigma[v - n]
+    if root < N:
+        return n + root
+    j = root - N
+    for i in range(n):
+        if rs.simple_positions[i] == j:
+            return i
+    raise InternalError(f"{rs.label}: tau image is a non-simple negative root")
+
+
+CRYSTALLOGRAPHIC_TO_E8 = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("label", CRYSTALLOGRAPHIC_TO_E8)
+def test_tau_tables_match_the_per_call_rotation(label):
+    rs = build_root_system(label)
+    for eps in (1, -1):
+        for v in range(vertex_count(rs)):
+            assert tau_map(rs, eps, v) == reference_tau_map(rs, eps, v), (eps, v)
 
 
 def test_tau_orbit_size_divides_h_plus_2_on_a2():

@@ -1,5 +1,6 @@
 """Power-sum symmetric functions, plethysm, and the graded Lie/Gerst series."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import coxcat.symfunc as symfunc
 from coxcat.errors import CheckFailed, InternalError
 from coxcat.exact import UniPoly, partitions_of
 from coxcat.groups import chi_R, generate_group
+from coxcat.osalgebra import os_graded_character
 from coxcat.rootsys import build_root_system
 from coxcat.symfunc import (
     SymFunc,
@@ -20,6 +22,7 @@ from coxcat.symfunc import (
     dp1,
     geometric_inverse_one_plus_p1_t,
     identity_class_value,
+    make_bundle,
     plethysm,
     sigma_t_lie,
     verify_bonzero,
@@ -230,6 +233,71 @@ def test_calibration_at_oracle_degrees_matches_full_truncation():
         assert matches[key] is matched
     surviving = [t for t in (False, True) if all(matches[(t, n)] for n in decision["degrees"])]
     assert surviving == [decision["twist"]]
+
+
+@pytest.mark.parametrize("twist", [False, True])
+def test_recurrence_matches_plethysm_at_every_truncation(twist):
+    # a graded part of degree n is the same at every truncation >= n
+    reference = plethysm(complete_homogeneous_sum(11), sigma_t_lie(11, twist))
+    for n in range(1, 12):
+        assert make_bundle(n, twist).gerst == SymFunc(reference.terms, n), n
+
+
+def test_recurrence_rejects_an_inexact_division(monkeypatch):
+    exponent = symfunc._exponent_class_values
+
+    def corrupted(lie, truncation):
+        values = exponent(lie, truncation)
+        assert values[2][(1, 1)] == (0, -1)
+        values[2][(1, 1)] = (0, Fraction(-1, 2))
+        return values
+
+    monkeypatch.setattr(symfunc, "_exponent_class_values", corrupted)
+    with pytest.raises(
+        InternalError, match=r"degree-2 class value at \(1, 1\) is not divisible by 2"
+    ):
+        make_bundle(5, True)
+
+
+def _doubled_exponent(monkeypatch):
+    # exp of an integer class function is integral, so this passes the division
+    exponent = symfunc._exponent_class_values
+
+    def corrupted(lie, truncation):
+        values = exponent(lie, truncation)
+        values[2][(1, 1)] = (0, -2)
+        return values
+
+    monkeypatch.setattr(symfunc, "_exponent_class_values", corrupted)
+
+
+def _shifted_gerst(monkeypatch):
+    build = symfunc.make_bundle
+
+    def corrupted(truncation, twist):
+        bundle = build(truncation, twist)
+        extra = SymFunc({(3,): UniPoly((0, 1))}, truncation)
+        return dataclasses.replace(bundle, gerst=bundle.gerst + extra)
+
+    monkeypatch.setattr(symfunc, "make_bundle", corrupted)
+
+
+@pytest.mark.parametrize("corrupt", [_doubled_exponent, _shifted_gerst])
+def test_calibration_cross_checks_the_recurrence_against_plethysm(monkeypatch, corrupt):
+    corrupt(monkeypatch)
+    with pytest.raises(InternalError, match=r"differs from plethysm\(Com, Lie\) at truncation 4"):
+        calibrate_sigma_t_lie()
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_gerst_class_values_match_the_arrangement_beyond_the_oracle_degrees(n):
+    # the calibration compares degrees <= 4 only; A_{n-1} is an independent check
+    rs = build_root_system(f"A{n - 1}")
+    character = os_graded_character(rs, generate_group(rs))
+    bundle = calibrated_bundle(8)
+    assert sorted(cls.label for cls in character.classes) == sorted(partitions_of(n))
+    for cls, chi in zip(character.classes, character.chars):
+        assert class_value(bundle, cls.label) == chi, cls.label
 
 
 def test_series_checks_build_one_full_bundle(monkeypatch):
