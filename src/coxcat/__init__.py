@@ -7,7 +7,7 @@ Submodules:
   cluster    cluster complexes, compatibility degrees, face polynomials
   groups     brute-force group elements, conjugacy classes, root characters
   osalgebra  graded arrangement characters and the reflection-count identity
-  symfunc    power-sum symmetric functions, plethysm, operadic series
+  symfunc    operadic series as class values, power-sum plethysm
   cli        the coxcat command-line interface
 """
 
@@ -70,7 +70,6 @@ from .symfunc import (  # noqa: F401
     calibrate_sigma_t_lie,
     calibrated_bundle,
     chi_R_typeA,
-    dp1,
     plethysm,
     verify_bonzero,
     verify_second_derivative_identity,

@@ -189,10 +189,6 @@ class UniPoly:
     def constant(c: Scalar) -> "UniPoly":
         return UniPoly((c,))
 
-    @staticmethod
-    def monomial(c: Scalar, k: int) -> "UniPoly":
-        return UniPoly((0,) * k + (Fraction(c),))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

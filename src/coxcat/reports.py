@@ -310,7 +310,7 @@ def _run_gerst(rs, started, max_degree, allow_large) -> VerificationReport:
     from .symfunc import (
         ORACLE_MAX_N,
         calibrated_bundle,
-        identity_class_value,
+        class_value,
         verify_first_derivative_identities,
         verify_second_derivative_identity,
         verify_type_A_conjecture,
@@ -328,7 +328,7 @@ def _run_gerst(rs, started, max_degree, allow_large) -> VerificationReport:
             expected = UniPoly.one()
             for i in range(1, n):
                 expected = expected * UniPoly((1, -i))
-            got = identity_class_value(bundle, n)
+            got = class_value(bundle, (1,) * n)
             if got != expected:
                 witnesses.append(
                     f"identity class value in degree {n}: {got!r} != {expected!r}"

@@ -1,20 +1,22 @@
-"""Symmetric functions in the power-sum basis with t-polynomial coefficients.
+"""The Com o Lie series as integer class values, and power-sum plethysm.
 
-A SymFunc is a finite sum sum_lambda c_lambda(t) p_lambda truncated beyond
-p-degree N.  The variable t is plethystic: p_d acts on an inner series by
-p_k -> p_{dk} together with t -> t^d.  On top of the ring operations the
-module builds the graded series Com = sum h_n, the t-graded Lie series
-(with an optional sign twist fixed empirically against the reflection
-arrangement characters of the symmetric groups), their plethysm Gerst,
-and the d/dp_1 identities that force almost all of Gerst to vanish after
-dividing by (1-t) and setting t = 1.
+A graded series sum_lambda c_lambda(t) p_lambda is held by its class values
+chi(C_lambda)(t) = z_lambda c_lambda(t), one integer polynomial in t per
+partition (`ClassValues`).  The bundle holds Com = sum h_n, the t-graded
+Lie series (with an optional sign twist fixed empirically against the
+reflection arrangement characters of the symmetric groups) and Gerst =
+Com o Lie this way, and checks the d/dp_1 identities that force almost all
+of Gerst to vanish after dividing by (1-t) and setting t = 1.  On class
+values d/dp_1 is the shift lambda -> lambda u (1).
 
-Gerst is not expanded through `plethysm`.  Since 1 + Com o Lie =
-exp(sum_k p_k[Lie]/k) (Macdonald, Symmetric Functions, I.2), it is built
-by the exponential recurrence n G_n = sum_j j A_j G_{n-j} over integer
-class values z_lambda c_lambda(t), with one exact division by n per
-degree.  `plethysm` stays the defining operation: the calibration checks
-the recurrence against it at the oracle degrees n <= 4 on every run.
+Gerst is built by the exponential recurrence: 1 + Com o Lie =
+exp(sum_k p_k[Lie]/k) (Macdonald, Symmetric Functions, I.2) gives
+n G_n = sum_j j A_j G_{n-j}, with one exact division by n per degree.
+SymFunc, a truncated sum over the power sums with Fraction coefficients,
+is the ring that defines `plethysm` (p_d acts on an inner series by
+p_k -> p_{dk} together with t -> t^d); the calibration maps the class
+values through `characteristic_map` and checks the recurrence against the
+plethysm at the oracle degrees n <= 4 on every run.
 """
 
 from __future__ import annotations
@@ -23,14 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import CheckFailed, InternalError
-from .exact import UniPoly, centralizer_order, partitions_of, unipoly_divide_exact
+from .exact import UniPoly, centralizer_order, partitions_of
 
 PartitionKey = Tuple[int, ...]
 IntPoly = Tuple[int, ...]  # integer coefficients of 1, t, t^2, ...
-# one graded piece by class: chi(C_lambda)(t) = z_lambda c_lambda(t)
+# a series by class: chi(C_lambda)(t) = z_lambda c_lambda(t); a missing class is 0
 ClassValues = Dict[PartitionKey, IntPoly]
 
 
@@ -126,26 +128,10 @@ class SymFunc:
         key = tuple(sorted(lam, reverse=True))
         return self.terms.get(key, UniPoly.zero())
 
-    def graded_part(self, n: int) -> "SymFunc":
-        return SymFunc(
-            {lam: c for lam, c in self.terms.items() if sum(lam) == n},
-            self.truncation,
-        )
-
     def has_constant_term(self) -> bool:
         return () in self.terms
 
     # -- transforms ----------------------------------------------------
-    def omega_sign(self) -> "SymFunc":
-        """Multiply the p_lambda coefficient by (-1)^(|lambda|-len(lambda))."""
-        return SymFunc(
-            {
-                lam: c * UniPoly.constant(Fraction((-1) ** (sum(lam) - len(lam))))
-                for lam, c in self.terms.items()
-            },
-            self.truncation,
-        )
-
     def power_substitution(self, d: int) -> "SymFunc":
         """p_d applied plethystically: p_k -> p_{dk} and t -> t^d."""
         out: Dict[PartitionKey, UniPoly] = {}
@@ -155,13 +141,6 @@ class SymFunc:
             key = tuple(d * part for part in lam)
             out[key] = out.get(key, UniPoly.zero()) + c.subs_t_power(d)
         return SymFunc(out, self.truncation)
-
-    def evaluate_t(self, value) -> "SymFunc":
-        val = Fraction(value)
-        return SymFunc(
-            {lam: UniPoly.constant(c(val)) for lam, c in self.terms.items()},
-            self.truncation,
-        )
 
     def sorted_terms(self) -> List[Tuple[PartitionKey, UniPoly]]:
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -196,19 +175,6 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
     return total
 
 
-def dp1(f: SymFunc) -> SymFunc:
-    """Formal partial derivative with respect to p_1."""
-    out: Dict[PartitionKey, UniPoly] = {}
-    for lam, c in f.terms.items():
-        m = lam.count(1)
-        if m == 0:
-            continue
-        key = lam[:-1]  # parts are sorted descending, so the last one is a 1
-        scaled = c * UniPoly.constant(Fraction(m))
-        out[key] = out.get(key, UniPoly.zero()) + scaled
-    return SymFunc(out, f.truncation)
-
-
 @lru_cache(maxsize=None)
 def _mobius(d: int) -> int:
     if d == 1:
@@ -227,23 +193,20 @@ def _mobius(d: int) -> int:
     return result
 
 
-def complete_homogeneous_sum(truncation: int) -> SymFunc:
-    """Com = sum_{n>=1} h_n with h_n = sum_{lambda of n} p_lambda / z_lambda."""
-    terms: Dict[PartitionKey, UniPoly] = {}
-    for n in range(1, truncation + 1):
-        for lam in partitions_of(n):
-            terms[lam] = UniPoly.constant(Fraction(1, centralizer_order(lam)))
-    return SymFunc(terms, truncation)
+def _classes(max_degree: int) -> Iterator[PartitionKey]:
+    """Every partition of degree 0 .. max_degree, degree by degree."""
+    for n in range(max_degree + 1):
+        yield from partitions_of(n)
 
 
-def _lie_class_values(truncation: int, twist: bool) -> List[ClassValues]:
-    """Class values of (-t)^(n-1) Lie_n, indexed by the degree n.
+def _lie_class_values(truncation: int, twist: bool) -> ClassValues:
+    """Class values of sum_n (-t)^(n-1) Lie_n, optionally sign-twisted by omega.
 
     Lie_n = (1/n) sum_{d | n} mu(d) p_d^{n/d}, so its class value on
     (d^{n/d}) is mu(d) d^{n/d-1} (n/d-1)!; the twist multiplies it by
     (-1)^(n - n/d).
     """
-    out: List[ClassValues] = [{} for _ in range(truncation + 1)]
+    out: ClassValues = {}
     for n in range(1, truncation + 1):
         for d in range(1, n + 1):
             mu = _mobius(d)
@@ -252,24 +215,24 @@ def _lie_class_values(truncation: int, twist: bool) -> List[ClassValues]:
             m = n // d
             sign = (-1) ** (n - m) if twist else 1
             value = (-1) ** (n - 1) * mu * sign * d ** (m - 1) * factorial(m - 1)
-            out[n][(d,) * m] = (0,) * (n - 1) + (value,)
+            out[(d,) * m] = (0,) * (n - 1) + (value,)
     return out
 
 
-def _exponent_class_values(lie: List[ClassValues], truncation: int) -> List[ClassValues]:
+def _exponent_class_values(lie: ClassValues, truncation: int) -> List[ClassValues]:
     """Class values of A = sum_k p_k[Lie]/k, indexed by the degree.
 
     p_k[p_lambda / z_lambda] / k = k^(l(lambda)-1) p_{k lambda} / z_{k lambda},
     together with t -> t^k.
     """
     acc: List[Dict[PartitionKey, List[int]]] = [{} for _ in range(truncation + 1)]
-    for m in range(1, truncation + 1):
-        for lam, poly in lie[m].items():
-            for k in range(1, truncation // m + 1):
-                stretched = [0] * (k * (len(poly) - 1) + 1)
-                stretched[::k] = poly
-                key = tuple(k * part for part in lam)
-                _accumulate(acc[k * m], key, stretched, k ** (len(lam) - 1))
+    for lam, poly in lie.items():
+        m = sum(lam)
+        for k in range(1, truncation // m + 1):
+            stretched = [0] * (k * (len(poly) - 1) + 1)
+            stretched[::k] = poly
+            key = tuple(k * part for part in lam)
+            _accumulate(acc[k * m].setdefault(key, []), stretched, k ** (len(lam) - 1))
     return [{lam: _strip(row) for lam, row in d.items() if any(row)} for d in acc]
 
 
@@ -283,10 +246,8 @@ def _merge(lam: PartitionKey, mu: PartitionKey) -> Tuple[PartitionKey, int]:
     return key, ways
 
 
-def _accumulate(
-    acc: Dict[PartitionKey, List[int]], key: PartitionKey, poly, factor: int
-) -> None:
-    row = acc.setdefault(key, [])
+def _accumulate(row: List[int], poly, factor: int) -> None:
+    """row += factor * poly, coefficient by coefficient."""
     if len(row) < len(poly):
         row.extend([0] * (len(poly) - len(row)))
     for i, c in enumerate(poly):
@@ -324,7 +285,7 @@ def _gerst_class_values(truncation: int, twist: bool) -> List[ClassValues]:
             for lam, p in a[j].items():
                 for mu, q in g[n - j].items():
                     key, ways = _merge(lam, mu)
-                    _accumulate(acc, key, _int_poly_mul(p, q), j * ways)
+                    _accumulate(acc.setdefault(key, []), _int_poly_mul(p, q), j * ways)
         g_n: ClassValues = {}
         for key, row in acc.items():
             if any(c % n for c in row):
@@ -339,28 +300,12 @@ def _gerst_class_values(truncation: int, twist: bool) -> List[ClassValues]:
     return g
 
 
-def _from_class_values(values: List[ClassValues], truncation: int) -> SymFunc:
-    return characteristic_map(
-        {lam: UniPoly(poly) for graded in values for lam, poly in graded.items()},
-        truncation,
-    )
-
-
-def sigma_t_lie(truncation: int, twist: bool) -> SymFunc:
-    """Degree-n summand (-t)^(n-1) Lie_n, optionally sign-twisted by omega.
-
-    Lie_n = (1/n) sum_{d | n} mu(d) p_d^{n/d}; the twist multiplies the
-    p_d^{n/d} term by (-1)^(n - n/d).
-    """
-    return _from_class_values(_lie_class_values(truncation, twist), truncation)
-
-
-def geometric_inverse_one_plus_p1_t(truncation: int) -> SymFunc:
-    """Expansion of 1/(1 + p_1 t) = sum_k (-1)^k t^k p_1^k."""
+def characteristic_map(values: ClassValues, truncation: int) -> SymFunc:
+    """Class function -> sum_lambda chi(C_lambda) p_lambda / z_lambda."""
     return SymFunc(
         {
-            (1,) * k: UniPoly.monomial(Fraction((-1) ** k), k)
-            for k in range(truncation + 1)
+            lam: UniPoly(Fraction(c, centralizer_order(lam)) for c in poly)
+            for lam, poly in values.items()
         },
         truncation,
     )
@@ -368,52 +313,43 @@ def geometric_inverse_one_plus_p1_t(truncation: int) -> SymFunc:
 
 @dataclass(frozen=True)
 class SeriesBundle:
-    """The calibrated series pipeline at one truncation degree."""
+    """The calibrated series at one truncation degree, as class values on
+    every partition of degree 1 .. truncation (a missing class is 0)."""
 
     truncation: int
     twist: bool
-    com: SymFunc
-    lie: SymFunc
-    gerst: SymFunc
+    com: ClassValues
+    lie: ClassValues
+    gerst: ClassValues
 
 
 def make_bundle(truncation: int, twist: bool) -> SeriesBundle:
-    com = complete_homogeneous_sum(truncation)
-    lie = sigma_t_lie(truncation, twist)
-    # index 0 is the constant 1 of exp(A), which Gerst does not have
-    gerst = _from_class_values(_gerst_class_values(truncation, twist)[1:], truncation)
+    # Com = sum_n h_n is the trivial character in every degree;
+    # index 0 of the recurrence is the constant 1 of exp(A), which Gerst does not have
+    gerst = _gerst_class_values(truncation, twist)[1:]
     return SeriesBundle(
-        truncation=truncation, twist=twist, com=com, lie=lie, gerst=gerst
+        truncation=truncation,
+        twist=twist,
+        com={lam: (1,) for lam in _classes(truncation) if lam},
+        lie=_lie_class_values(truncation, twist),
+        gerst={lam: poly for graded in gerst for lam, poly in graded.items()},
     )
 
 
-def characteristic_map(values: Dict[PartitionKey, UniPoly], truncation: int) -> SymFunc:
-    """Class function -> sum_lambda chi(C_lambda) p_lambda / z_lambda."""
-    return SymFunc(
-        {
-            lam: poly * UniPoly.constant(Fraction(1, centralizer_order(lam)))
-            for lam, poly in values.items()
-        },
-        truncation,
-    )
-
-
-def _symmetric_group_oracle(n: int, truncation: int) -> SymFunc:
-    """Characteristic image of the graded reflection-arrangement character
-    of the symmetric group S_n, computed from the rank n-1 root system."""
+def _symmetric_group_oracle(n: int) -> ClassValues:
+    """Graded reflection-arrangement character of the symmetric group S_n by
+    class, computed from the rank n-1 root system."""
     from .groups import generate_group
     from .osalgebra import os_graded_character
     from .rootsys import build_root_system
 
     rs = build_root_system(f"A{n - 1}")
-    group = generate_group(rs)
-    gc = os_graded_character(rs, group)
-    values: Dict[PartitionKey, UniPoly] = {}
-    for cls, poly in zip(gc.classes, gc.chars):
-        values[cls.label] = poly
+    gc = os_graded_character(rs, generate_group(rs))
+    # the traces are integers held as Fractions, which compare equal to ints
+    values = {cls.label: poly.coeffs for cls, poly in zip(gc.classes, gc.chars)}
     if len(values) != len(gc.classes):
         raise InternalError("duplicate class labels in the S_n oracle")
-    return characteristic_map(values, truncation)
+    return values
 
 
 ORACLE_MAX_N = 4  # the S_n oracles of the calibration run up to this degree
@@ -424,8 +360,8 @@ def calibrate_sigma_t_lie(oracle_max_n: int = ORACLE_MAX_N) -> dict:
 
     Both the plain formula and its omega-twist are expanded into Gerst at
     truncation oracle_max_n, and each expansion must equal the plethysm
-    Com o Lie, the definition the recurrence replaces; the graded components for
-    n = 2 .. oracle_max_n are compared with the reflection-arrangement
+    Com o Lie, the definition the recurrence replaces; the class values in
+    degrees n = 2 .. oracle_max_n are compared with the reflection-arrangement
     characters of S_n.  A graded part of degree n does not depend on the
     truncation once it is at least n, so the decision holds for every
     truncation.  Exactly one variant must survive.
@@ -433,16 +369,21 @@ def calibrate_sigma_t_lie(oracle_max_n: int = ORACLE_MAX_N) -> dict:
     degrees = list(range(2, oracle_max_n + 1))
     surviving = {twist: make_bundle(oracle_max_n, twist) for twist in (False, True)}
     for twist, bundle in surviving.items():
-        if bundle.gerst != plethysm(bundle.com, bundle.lie):
+        com, lie, gerst = (
+            characteristic_map(values, oracle_max_n)
+            for values in (bundle.com, bundle.lie, bundle.gerst)
+        )
+        if gerst != plethysm(com, lie):
             raise InternalError(
                 f"Gerst recurrence (twist={twist}) differs from plethysm(Com, Lie) "
                 f"at truncation {oracle_max_n}"
             )
     detail = {}
     for n in degrees:
-        oracle = _symmetric_group_oracle(n, oracle_max_n)
+        oracle = _symmetric_group_oracle(n)
         for twist in list(surviving):
-            piece = surviving[twist].gerst.graded_part(n)
+            gerst = surviving[twist].gerst
+            piece = {lam: poly for lam, poly in gerst.items() if sum(lam) == n}
             detail[(twist, n)] = piece == oracle
             if piece != oracle:
                 del surviving[twist]
@@ -461,90 +402,107 @@ def calibrated_bundle(truncation: int = 7) -> SeriesBundle:
     return make_bundle(truncation, calibrate_sigma_t_lie()["twist"])
 
 
-def identity_class_value(bundle: SeriesBundle, n: int) -> UniPoly:
-    """chi(identity)(t) in degree n: z_(1^n) times the p_1^n coefficient."""
-    coeff = bundle.gerst.coefficient((1,) * n)
-    return coeff * UniPoly.constant(Fraction(centralizer_order((1,) * n)))
-
-
 def class_value(bundle: SeriesBundle, lam: PartitionKey) -> UniPoly:
-    """chi(C_lambda)(t) recovered from the characteristic expansion."""
-    return bundle.gerst.coefficient(lam) * UniPoly.constant(
-        Fraction(centralizer_order(lam))
-    )
+    """chi(C_lambda)(t) of Gerst, for a partition lam in descending order."""
+    return UniPoly(bundle.gerst.get(lam, ()))
 
 
-def _first_difference(
-    f: SymFunc, g: SymFunc, max_degree: int
-) -> Optional[Tuple[PartitionKey, UniPoly, UniPoly]]:
-    keys = {k for k in f.terms if sum(k) <= max_degree}
-    keys |= {k for k in g.terms if sum(k) <= max_degree}
-    for key in sorted(keys, key=lambda k: (sum(k), k)):
-        a, b = f.coefficient(key), g.coefficient(key)
+# -- the identities, on class values ------------------------------------------
+# d/dp_1 sends p_lambda / z_lambda to m_1(lambda) p_{lambda - 1} / z_lambda, and
+# z_{lambda u 1} = z_lambda (m_1(lambda) + 1), so the class value of dF/dp_1 on
+# lambda is that of F on lambda u (1) (Macdonald, Symmetric Functions, I.7).
+
+
+def _d_dp1(values: ClassValues, k: int = 1) -> Callable[[PartitionKey], IntPoly]:
+    """The k-th derivative by p_1: its class value on lam is values[lam u (1^k)]."""
+    return lambda lam: values.get(lam + (1,) * k, ())
+
+
+def _inverse_power(k: int, lam: PartitionKey) -> IntPoly:
+    """Class value of (1 + p_1 t)^(-k): (-1)^j (j+k-1)!/(k-1)! t^j on (1^j), else 0."""
+    j = len(lam)
+    if lam != (1,) * j:
+        return ()
+    return (0,) * j + ((-1) ** j * factorial(j + k - 1) // factorial(k - 1),)
+
+
+def _reduced_at_one(poly: IntPoly) -> Optional[int]:
+    """(poly / (1-t)) at t = 1, or None when 1 - t does not divide poly.
+
+    1 - t divides poly exactly when poly(1) = 0; then poly = (1-t) q gives
+    q(1) = -poly'(1).
+    """
+    if sum(poly):
+        return None
+    return -sum(i * c for i, c in enumerate(poly))
+
+
+def _require_equal(what: str, lhs: Callable, rhs: Callable, max_degree: int) -> None:
+    """Raise CheckFailed at the first class of degree <= max_degree on which
+    the class values lhs(lam) and rhs(lam) differ."""
+    for lam in _classes(max_degree):
+        a, b = lhs(lam), rhs(lam)
         if a != b:
-            return key, a, b
-    return None
+            raise CheckFailed(f"{what} differs on class {lam}: {a} != {b}")
 
 
 def verify_first_derivative_identities(bundle: SeriesBundle, max_degree: int) -> dict:
     """dCom/dp_1 = 1 + Com and dLie/dp_1 = 1/(1 + p_1 t), degreewise."""
-    n = bundle.truncation
-    com_target = SymFunc.one(n) + bundle.com
-    diff = _first_difference(dp1(bundle.com), com_target, max_degree)
-    if diff is not None:
-        raise CheckFailed(f"dCom/dp1 differs at p_{list(diff[0])}: {diff[1]!r} != {diff[2]!r}")
-    lie_target = geometric_inverse_one_plus_p1_t(n)
-    diff = _first_difference(dp1(bundle.lie), lie_target, max_degree)
-    if diff is not None:
-        raise CheckFailed(f"dLie/dp1 differs at p_{list(diff[0])}: {diff[1]!r} != {diff[2]!r}")
+    one_plus_com = {**bundle.com, (): (1,)}
+    _require_equal(
+        "dCom/dp1", _d_dp1(bundle.com), lambda lam: one_plus_com.get(lam, ()), max_degree
+    )
+    _require_equal(
+        "dLie/dp1", _d_dp1(bundle.lie), lambda lam: _inverse_power(1, lam), max_degree
+    )
     return {"max_degree": max_degree}
 
 
 def verify_second_derivative_identity(bundle: SeriesBundle, max_degree: int) -> dict:
-    """d^2 Gerst / dp_1^2 = (1-t) (1+p_1 t)^(-2) (1 + Com) o Lie series."""
-    n = bundle.truncation
-    lhs = dp1(dp1(bundle.gerst))
-    inv = geometric_inverse_one_plus_p1_t(n)
-    rhs = ((SymFunc.one(n) + bundle.gerst) * (inv * inv)).scale(UniPoly((1, -1)))
-    diff = _first_difference(lhs, rhs, max_degree)
-    if diff is not None:
-        raise CheckFailed(
-            f"second-derivative identity differs at p_{list(diff[0])}: "
-            f"{diff[1]!r} != {diff[2]!r}"
-        )
+    """d^2 Gerst / dp_1^2 = (1-t) (1+p_1 t)^(-2) (1 + Com) o Lie series.
+
+    The factor (1+p_1 t)^(-2) lives on the classes (1^k), so the product's
+    class value on lam sums over the splittings lam = mu u (1^k).
+    """
+    one_plus_gerst = {**bundle.gerst, (): (1,)}
+
+    def rhs(lam: PartitionKey) -> IntPoly:
+        row: List[int] = []
+        for k in range(lam.count(1) + 1):
+            mu = lam[: len(lam) - k]  # the 1-parts come last
+            _, ways = _merge(mu, (1,) * k)
+            term = _int_poly_mul(_inverse_power(2, (1,) * k), one_plus_gerst.get(mu, ()))
+            _accumulate(row, term, ways)
+        return _strip(_int_poly_mul((1, -1), row))
+
+    _require_equal("second-derivative identity", _d_dp1(bundle.gerst, 2), rhs, max_degree)
     return {"max_degree": max_degree}
 
 
 def verify_bonzero(bundle: SeriesBundle, max_degree: int) -> dict:
     """(1/(1-t)) d^2 Gerst / dp_1^2 at t=1 equals the expansion of 1/(1+p_1).
 
-    Every coefficient of d^2 Gerst must be divisible by (1-t); after the
-    division and t = 1 the only surviving partitions are the all-ones.
-    Also checks that Gerst itself collapses to p_1 at t = 1.
+    Every class value of d^2 Gerst must be divisible by (1-t); after the
+    division and t = 1 the only surviving classes are the (1^j).
+    Also checks that Gerst itself collapses to p_1 at t = 1: its class
+    values sum to 1 on (1) and to 0 on every other class.
     """
-    n = bundle.truncation
-    second = dp1(dp1(bundle.gerst))
-    one_minus_t = UniPoly((1, -1))
-    reduced: Dict[PartitionKey, UniPoly] = {}
-    for lam, coeff in second.terms.items():
-        try:
-            reduced[lam] = unipoly_divide_exact(coeff, one_minus_t)
-        except CheckFailed as exc:
+    second = _d_dp1(bundle.gerst, 2)
+    at_one: Dict[PartitionKey, int] = {}
+    for lam in _classes(bundle.truncation - 2):
+        value = _reduced_at_one(second(lam))
+        if value is None:
             raise CheckFailed(
-                f"coefficient of p_{list(lam)} in d^2 Gerst is {coeff!r}, "
-                f"not divisible by 1-t"
-            ) from exc
-    at_one = SymFunc(
-        {lam: UniPoly.constant(c(Fraction(1))) for lam, c in reduced.items()}, n
+                f"d^2 Gerst on class {lam} is {second(lam)}, not divisible by 1-t"
+            )
+        at_one[lam] = value
+    _require_equal(
+        "value at t=1",
+        lambda lam: at_one.get(lam, 0),
+        lambda lam: sum(_inverse_power(1, lam)),
+        max_degree,
     )
-    target = geometric_inverse_one_plus_p1_t(n).evaluate_t(1)
-    diff = _first_difference(at_one, target, max_degree)
-    if diff is not None:
-        raise CheckFailed(
-            f"value at t=1 differs at p_{list(diff[0])}: {diff[1]!r} != {diff[2]!r}"
-        )
-    gerst_at_one = bundle.gerst.evaluate_t(1)
-    if gerst_at_one != SymFunc.p(1, n):
+    if {lam: sum(poly) for lam, poly in bundle.gerst.items() if sum(poly)} != {(1,): 1}:
         raise CheckFailed("Gerst at t=1 is not p_1")
     return {"max_degree": max_degree, "gerst_at_one_is_p1": True}
 
@@ -559,23 +517,20 @@ def verify_type_A_conjecture(bundle: SeriesBundle, max_n: int) -> dict:
     """chi_R * chi_G' supported on the identity class of S_n, n <= max_n.
 
     chi_G'(C_lambda) is the t=1 value of chi(C_lambda)/(1-t) read off the
-    Gerst series; the identity class must give (-1)^n n! (the full count
+    Gerst class values; the identity class must give (-1)^n n! (the full count
     f = 1 for the letter-permutation types) and every other class 0.
     """
     if max_n > bundle.truncation:
         raise ValueError("series truncated below the requested degree")
-    one_minus_t = UniPoly((1, -1))
     rows = []
     for n in range(2, max_n + 1):
-        factorial = 1
-        for i in range(2, n + 1):
-            factorial *= i
         for lam in partitions_of(n):
-            chi_poly = class_value(bundle, lam)
-            quotient = unipoly_divide_exact(chi_poly, one_minus_t)
-            gp = quotient(Fraction(1))
+            chi = bundle.gerst.get(lam, ())
+            gp = _reduced_at_one(chi)
+            if gp is None:
+                raise CheckFailed(f"S_{n} class {lam}: chi = {chi} is not divisible by 1-t")
             product = chi_R_typeA(lam) * gp
-            expected = (-1) ** n * factorial if lam == (1,) * n else 0
+            expected = (-1) ** n * factorial(n) if lam == (1,) * n else 0
             if product != expected:
                 raise CheckFailed(
                     f"S_{n} class {lam}: chi_R*chi_G' = {product} != {expected}"

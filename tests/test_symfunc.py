@@ -5,10 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coxcat.symfunc as symfunc
 from coxcat.errors import CheckFailed, InternalError
-from coxcat.exact import UniPoly, partitions_of
+from coxcat.exact import UniPoly, partitions_of, unipoly_divide_exact
 from coxcat.groups import chi_R, generate_group
 from coxcat.osalgebra import os_graded_character
 from coxcat.rootsys import build_root_system
@@ -17,14 +19,10 @@ from coxcat.symfunc import (
     calibrate_sigma_t_lie,
     calibrated_bundle,
     chi_R_typeA,
+    characteristic_map,
     class_value,
-    complete_homogeneous_sum,
-    dp1,
-    geometric_inverse_one_plus_p1_t,
-    identity_class_value,
     make_bundle,
     plethysm,
-    sigma_t_lie,
     verify_bonzero,
     verify_first_derivative_identities,
     verify_second_derivative_identity,
@@ -102,6 +100,110 @@ def plethysm_oracle(f, g):
         for key, val in term.items():
             total[key] = total.get(key, Fraction(0)) + val
     return {k: v for k, v in total.items() if v}
+
+
+# ---------------------------------------------------------------------------
+# the reference: the series checks on Fraction-valued SymFuncs that the
+# class-value checks replaced, kept to test them against
+
+
+def dp1(f):
+    """Formal partial derivative with respect to p_1."""
+    out = {}
+    for lam, c in f.terms.items():
+        m = lam.count(1)
+        if m == 0:
+            continue
+        key = lam[:-1]  # parts are sorted descending, so the last one is a 1
+        scaled = c * UniPoly.constant(Fraction(m))
+        out[key] = out.get(key, UniPoly.zero()) + scaled
+    return SymFunc(out, f.truncation)
+
+
+def geometric_inverse_one_plus_p1_t(truncation):
+    """Expansion of 1/(1 + p_1 t) = sum_k (-1)^k t^k p_1^k."""
+    return SymFunc(
+        {(1,) * k: UniPoly((0,) * k + ((-1) ** k,)) for k in range(truncation + 1)},
+        truncation,
+    )
+
+
+def graded_part(f, n):
+    return SymFunc({lam: c for lam, c in f.terms.items() if sum(lam) == n}, f.truncation)
+
+
+def evaluate_t(f, value):
+    return SymFunc(
+        {lam: UniPoly.constant(c(Fraction(value))) for lam, c in f.terms.items()},
+        f.truncation,
+    )
+
+
+def first_difference(f, g, max_degree):
+    keys = {k for k in f.terms if sum(k) <= max_degree}
+    keys |= {k for k in g.terms if sum(k) <= max_degree}
+    for key in sorted(keys, key=lambda k: (sum(k), k)):
+        a, b = f.coefficient(key), g.coefficient(key)
+        if a != b:
+            return key, a, b
+    return None
+
+
+def as_symfuncs(bundle):
+    """Com, Lie and Gerst of a bundle under the characteristic map."""
+    n = bundle.truncation
+    return tuple(
+        characteristic_map(values, n) for values in (bundle.com, bundle.lie, bundle.gerst)
+    )
+
+
+def reference_first_derivative_identities(bundle, max_degree):
+    com, lie, _ = as_symfuncs(bundle)
+    n = bundle.truncation
+    if first_difference(dp1(com), SymFunc.one(n) + com, max_degree) is not None:
+        raise CheckFailed("dCom/dp1")
+    if first_difference(dp1(lie), geometric_inverse_one_plus_p1_t(n), max_degree) is not None:
+        raise CheckFailed("dLie/dp1")
+
+
+def reference_second_derivative_identity(bundle, max_degree):
+    _, _, gerst = as_symfuncs(bundle)
+    n = bundle.truncation
+    lhs = dp1(dp1(gerst))
+    inv = geometric_inverse_one_plus_p1_t(n)
+    rhs = ((SymFunc.one(n) + gerst) * (inv * inv)).scale(UniPoly((1, -1)))
+    if first_difference(lhs, rhs, max_degree) is not None:
+        raise CheckFailed("second-derivative identity")
+
+
+def reference_bonzero(bundle, max_degree):
+    _, _, gerst = as_symfuncs(bundle)
+    n = bundle.truncation
+    reduced = {
+        lam: unipoly_divide_exact(coeff, UniPoly((1, -1)))
+        for lam, coeff in dp1(dp1(gerst)).terms.items()
+    }
+    at_one = evaluate_t(SymFunc(reduced, n), 1)
+    target = evaluate_t(geometric_inverse_one_plus_p1_t(n), 1)
+    if first_difference(at_one, target, max_degree) is not None:
+        raise CheckFailed("value at t=1")
+    if evaluate_t(gerst, 1) != SymFunc.p(1, n):
+        raise CheckFailed("Gerst at t=1 is not p_1")
+
+
+def passes(check, bundle, max_degree):
+    try:
+        check(bundle, max_degree)
+    except CheckFailed:
+        return False
+    return True
+
+
+def with_added(values, lam, delta):
+    """A copy of the class values with delta added to the value on lam."""
+    row = list(values.get(lam, ()))
+    symfunc._accumulate(row, delta, 1)
+    return {**values, lam: symfunc._strip(row)}
 
 
 def test_plethysm_on_generators():
@@ -183,7 +285,7 @@ def test_dp1_is_a_derivation_through_plethysm():
 
 
 def test_com_series():
-    com = complete_homogeneous_sum(4)
+    com = characteristic_map(make_bundle(4, True).com, 4)
     assert com.coefficient(()) == UniPoly.zero()
     assert com.coefficient((1,)) == UniPoly.constant(Fraction(1))
     assert com.coefficient((1, 1)) == HALF
@@ -196,10 +298,10 @@ def test_com_series():
 def test_both_lie_variants_satisfy_the_first_derivative_identity():
     target = geometric_inverse_one_plus_p1_t(5)
     for twist in (False, True):
-        lie = sigma_t_lie(6, twist)
+        lie = characteristic_map(make_bundle(6, twist).lie, 6)
         deriv = dp1(lie)
         for n in range(6):
-            assert deriv.graded_part(n) == SymFunc(target.graded_part(n).terms, 6)
+            assert graded_part(deriv, n) == SymFunc(graded_part(target, n).terms, 6)
 
 
 def test_calibration_selects_the_twist():
@@ -210,8 +312,8 @@ def test_calibration_selects_the_twist():
 
 
 def test_calibration_raises_when_no_variant_matches(monkeypatch):
-    def bogus(n, truncation):
-        return SymFunc({(n,): UniPoly.constant(Fraction(41))}, truncation)
+    def bogus(n):
+        return {(n,): (41,)}
 
     monkeypatch.setattr(symfunc, "_symmetric_group_oracle", bogus)
     with pytest.raises(CheckFailed, match="neither Lie-series sign variant matches"):
@@ -221,14 +323,15 @@ def test_calibration_raises_when_no_variant_matches(monkeypatch):
 def test_calibration_at_oracle_degrees_matches_full_truncation():
     decision = calibrate_sigma_t_lie()
     assert decision["degrees"] == [2, 3, 4]
-    short = {twist: symfunc.make_bundle(4, twist) for twist in (False, True)}
-    full = {twist: symfunc.make_bundle(9, twist) for twist in (False, True)}
+    short = {twist: characteristic_map(make_bundle(4, twist).gerst, 4) for twist in (False, True)}
+    full = {twist: characteristic_map(make_bundle(9, twist).gerst, 9) for twist in (False, True)}
     matches = {}
     for twist in (False, True):
         for n in decision["degrees"]:
-            piece = full[twist].gerst.graded_part(n)
-            assert SymFunc(piece.terms, 4) == short[twist].gerst.graded_part(n)
-            matches[(twist, n)] = piece == symfunc._symmetric_group_oracle(n, 9)
+            piece = graded_part(full[twist], n)
+            assert SymFunc(piece.terms, 4) == graded_part(short[twist], n)
+            oracle = characteristic_map(symfunc._symmetric_group_oracle(n), 9)
+            matches[(twist, n)] = piece == oracle
     for key, matched in decision["detail"].items():
         assert matches[key] is matched
     surviving = [t for t in (False, True) if all(matches[(t, n)] for n in decision["degrees"])]
@@ -238,9 +341,10 @@ def test_calibration_at_oracle_degrees_matches_full_truncation():
 @pytest.mark.parametrize("twist", [False, True])
 def test_recurrence_matches_plethysm_at_every_truncation(twist):
     # a graded part of degree n is the same at every truncation >= n
-    reference = plethysm(complete_homogeneous_sum(11), sigma_t_lie(11, twist))
+    com, lie, _ = as_symfuncs(make_bundle(11, twist))
+    reference = plethysm(com, lie)
     for n in range(1, 12):
-        assert make_bundle(n, twist).gerst == SymFunc(reference.terms, n), n
+        assert characteristic_map(make_bundle(n, twist).gerst, n) == SymFunc(reference.terms, n), n
 
 
 def test_recurrence_rejects_an_inexact_division(monkeypatch):
@@ -276,8 +380,7 @@ def _shifted_gerst(monkeypatch):
 
     def corrupted(truncation, twist):
         bundle = build(truncation, twist)
-        extra = SymFunc({(3,): UniPoly((0, 1))}, truncation)
-        return dataclasses.replace(bundle, gerst=bundle.gerst + extra)
+        return dataclasses.replace(bundle, gerst=with_added(bundle.gerst, (3,), (0, 3)))
 
     monkeypatch.setattr(symfunc, "make_bundle", corrupted)
 
@@ -322,7 +425,7 @@ def test_series_checks_build_one_full_bundle(monkeypatch):
 
 
 def test_frozen_degree_two_gerst():
-    gerst = calibrated_bundle(7).gerst
+    gerst = characteristic_map(calibrated_bundle(7).gerst, 7)
     half_one_minus_t = UniPoly((Fraction(1, 2), Fraction(-1, 2)))
     assert gerst.coefficient((1, 1)) == half_one_minus_t
     assert gerst.coefficient((2,)) == half_one_minus_t
@@ -335,7 +438,7 @@ def test_identity_class_values():
         expected = UniPoly.one()
         for i in range(1, n):
             expected = expected * UniPoly((1, -i))
-        assert identity_class_value(bundle, n) == expected
+        assert class_value(bundle, (1,) * n) == expected
 
 
 def test_first_derivative_identities():
@@ -351,9 +454,8 @@ def test_bonzero():
     bundle = calibrated_bundle(7)
     verify_bonzero(calibrated_bundle(8), 6)
     # the reduced value at t=1 is the alternating geometric series in p_1
-    second = dp1(dp1(bundle.gerst))
-    from coxcat.exact import unipoly_divide_exact
-
+    gerst = characteristic_map(bundle.gerst, 7)
+    second = dp1(dp1(gerst))
     reduced = SymFunc(
         {
             lam: UniPoly.constant(
@@ -365,7 +467,90 @@ def test_bonzero():
     )
     assert reduced.coefficient((2, 1)) == UniPoly.zero()
     assert reduced.coefficient((1, 1, 1)) == UniPoly.constant(Fraction(-1))
-    assert bundle.gerst.evaluate_t(1) == SymFunc.p(1, 7)
+    assert evaluate_t(gerst, 1) == SymFunc.p(1, 7)
+
+
+@pytest.mark.parametrize("twist", [False, True])
+def test_class_value_checks_agree_with_the_symfunc_reference(twist):
+    pairs = [
+        (verify_first_derivative_identities, reference_first_derivative_identities, 1),
+        (verify_second_derivative_identity, reference_second_derivative_identity, 2),
+        (verify_bonzero, reference_bonzero, 2),
+    ]
+    for n in range(1, 12):
+        bundle = make_bundle(n, twist)
+        for check, reference, lost in pairs:
+            if n < lost:
+                continue
+            outcome = passes(check, bundle, n - lost)
+            assert outcome == passes(reference, bundle, n - lost), (check.__name__, n)
+            # the derivative identities hold for both twists; only the
+            # calibrated one collapses to p_1 at t = 1
+            assert outcome is (twist or check is not verify_bonzero), (check.__name__, n)
+
+
+@pytest.mark.parametrize("twist", [False, True])
+def test_shifted_class_values_are_dp1(twist):
+    n = 9
+    bundle = make_bundle(n, twist)
+    for values in (bundle.com, bundle.lie, bundle.gerst):
+        for k in (1, 2):
+            shifted = symfunc._d_dp1(values, k)
+            image = {lam: shifted(lam) for lam in symfunc._classes(n - k)}
+            expected = characteristic_map(values, n)
+            for _ in range(k):
+                expected = dp1(expected)
+            assert characteristic_map(image, n) == expected
+
+
+FIRST, SECOND = verify_first_derivative_identities, verify_second_derivative_identity
+
+
+@pytest.mark.parametrize(
+    "check,series,lam,delta,message",
+    [
+        (FIRST, "com", (2, 1), (1,), r"dCom/dp1 differs on class \(2,\)"),
+        (FIRST, "lie", (1, 1), (0, 1), r"dLie/dp1 differs on class \(1,\)"),
+        (SECOND, "gerst", (2, 1, 1), (0, 1), r"second-derivative identity differs on class \(2"),
+        (verify_bonzero, "gerst", (2, 1, 1), (1,), r"d\^2 Gerst on class \(2,\) .* not divisible"),
+        (verify_bonzero, "gerst", (2, 1, 1), (1, -1), r"value at t=1 differs on class \(2,\)"),
+        (verify_bonzero, "gerst", (3,), (1,), r"Gerst at t=1 is not p_1"),
+    ],
+)
+def test_one_corrupted_class_value_trips_each_check(check, series, lam, delta, message):
+    bundle = calibrated_bundle(6)
+    check(bundle, 4)
+    corrupted = with_added(getattr(bundle, series), lam, delta)
+    broken = dataclasses.replace(bundle, **{series: corrupted})
+    with pytest.raises(CheckFailed, match=message):
+        check(broken, 4)
+
+
+def class_value_product(f, g, truncation):
+    """Product of two class functions, over the splittings weighted by `_merge`."""
+    acc = {}
+    for lam, p_values in f.items():
+        for mu, q_values in g.items():
+            if sum(lam) + sum(mu) <= truncation:
+                key, ways = symfunc._merge(lam, mu)
+                product = symfunc._int_poly_mul(p_values, q_values)
+                symfunc._accumulate(acc.setdefault(key, []), product, ways)
+    return {lam: tuple(row) for lam, row in acc.items()}
+
+
+CLASSES_TO_SIX = list(symfunc._classes(6))
+class_functions = st.dictionaries(
+    st.sampled_from(CLASSES_TO_SIX),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(tuple),
+    max_size=8,
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(class_functions, class_functions)
+def test_class_value_product_is_the_power_sum_product(f, g):
+    lhs = characteristic_map(class_value_product(f, g, 6), 6)
+    assert lhs == characteristic_map(f, 6) * characteristic_map(g, 6)
 
 
 def test_chi_r_typeA_values():
@@ -398,17 +583,14 @@ def test_type_A_conjecture_detects_corruption():
         twist=bundle.twist,
         com=bundle.com,
         lie=bundle.lie,
-        gerst=bundle.gerst + SymFunc({(1, 1, 1): UniPoly((1, -1))}, 4),
+        gerst=with_added(bundle.gerst, (1, 1, 1), (6, -6)),
     )
     with pytest.raises(CheckFailed, match=r"S_3 class \(1, 1, 1\): chi_R\*chi_G' = "):
         verify_type_A_conjecture(broken, 4)
 
 
-def test_omega_sign_and_power_substitution():
+def test_power_substitution():
     f = SymFunc({(2, 1): UniPoly.constant(Fraction(3)), (1, 1): UniPoly((0, 1))}, 7)
-    omega = f.omega_sign()
-    assert omega.coefficient((2, 1)) == UniPoly.constant(Fraction(-3))
-    assert omega.coefficient((1, 1)) == UniPoly((0, 1))
     doubled = f.power_substitution(2)
     assert doubled.coefficient((4, 2)) == UniPoly.constant(Fraction(3))
     assert doubled.coefficient((2, 2)) == UniPoly((0, 0, 1))
