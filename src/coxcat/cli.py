@@ -30,7 +30,8 @@ _SHARED_ARTEFACTS = (generate_group, os_graded_character, enumerate_antichains, 
 
 
 def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
+    """Print one JSON line; exact values (Fraction, Z[phi], polynomials) become text."""
+    sys.stdout.write(json.dumps(jsonable(payload), sort_keys=True, separators=(", ", ": ")))
     sys.stdout.write("\n")
 
 
@@ -91,12 +92,12 @@ def cmd_roots(args) -> int:
                 "type": rs.label,
                 "rank": rs.rank,
                 "n_positive": rs.n_positive,
-                "exponents": list(rs.exponents),
+                "exponents": rs.exponents,
                 "coxeter_number": rs.coxeter_number,
                 "order": rs.order,
                 "full_reflections": rs.full_reflection_count(),
-                "formula": format_rational(rs.formula_value()),
-                "simple_positions": list(rs.simple_positions),
+                "formula": rs.formula_value(),
+                "simple_positions": rs.simple_positions,
                 "roots": roots,
             }
         )
@@ -127,9 +128,9 @@ def cmd_antichains(args) -> int:
             {
                 "type": rs.label,
                 "total": tally.total,
-                "narayana": jsonable(narayana),
-                "h": jsonable(h_poly),
-                "p": jsonable(p_poly),
+                "narayana": narayana,
+                "h": h_poly,
+                "p": p_poly,
             }
         )
         return 0
@@ -152,7 +153,7 @@ def cmd_fpoly(args) -> int:
             {
                 "type": rs.label,
                 "vertices": complex_.n_vertices,
-                "f": jsonable(f_poly),
+                "f": f_poly,
                 "maximal_faces": n_max,
                 "min_maximal_size": min_size,
             }
@@ -186,7 +187,7 @@ def cmd_os_character(args) -> int:
             {
                 "type": rs.label,
                 "dims": list(gc.dims),
-                "classes": jsonable(classes),
+                "classes": classes,
             }
         )
         return 0
@@ -227,7 +228,7 @@ def cmd_gerst(args) -> int:
             {
                 "max_degree": max_degree,
                 "twist": bundle.twist,
-                "degrees": jsonable(degrees),
+                "degrees": degrees,
                 "checks": [gerst_report.to_json(), bonzero_report.to_json()],
             }
         )

@@ -1,16 +1,17 @@
 """Exact scalar and polynomial arithmetic.
 
 Scalars are either `fractions.Fraction` or `GoldenNumber` (elements of the
-quadratic field Q(phi), phi**2 = phi + 1, needed for the non-crystallographic
-root coordinates).  Polynomials come in two flavours: `UniPoly` (one variable
-t, dense coefficient tuple) and `BiPoly` (two variables x, y, sparse term
-dict).  Everything is immutable and hashable, so values can be shared freely
-across threads and memo tables.
+ring Z[phi], phi**2 = phi + 1, which holds the root coordinates of the
+non-crystallographic types H3 and H4).  Polynomials come in two flavours:
+`UniPoly` (one variable t, dense coefficient tuple) and `BiPoly` (two
+variables x, y, sparse term dict).  Everything is immutable and hashable, so
+values can be shared freely across threads and memo tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -25,18 +26,20 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+@total_ordering
 class GoldenNumber:
-    """An element a + b*phi of Q(phi), with a, b rational and phi = (1+sqrt5)/2.
+    """An element a + b*phi of the ring Z[phi], phi = (1+sqrt5)/2, phi**2 = phi + 1.
 
-    Comparisons are exact: the sign of a + b*phi is decided by rational
-    arithmetic alone, never by floating-point evaluation.
+    The library builds every value from integers, and the ring operations
+    keep them integers; there is no division.  Comparisons are exact: the
+    sign is decided on integers alone, never by floating-point evaluation.
     """
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: Scalar = 0, b: Scalar = 0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+    def __init__(self, a: int = 0, b: int = 0):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __setattr__(self, name, value):
         raise AttributeError("GoldenNumber is immutable")
@@ -44,7 +47,7 @@ class GoldenNumber:
     def _coerce(self, other) -> "GoldenNumber":
         if isinstance(other, GoldenNumber):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return GoldenNumber(other)
         return NotImplemented
 
@@ -83,25 +86,6 @@ class GoldenNumber:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "GoldenNumber":
-        # conjugate of a + b phi is (a + b) - b phi; their product is the norm
-        norm = self.a * self.a + self.a * self.b - self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError("GoldenNumber division by zero")
-        return GoldenNumber((self.a + self.b) / norm, -self.b / norm)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -114,21 +98,13 @@ class GoldenNumber:
         return hash((self.a, self.b))
 
     def sign(self) -> int:
-        """Exact sign of a + b*phi, written as x + y*sqrt5 with x=a+b/2, y=b/2."""
-        x = self.a + self.b / 2
-        y = self.b / 2
-        if y == 0:
-            return (x > 0) - (x < 0)
-        if x == 0:
-            return 1 if y > 0 else -1
-        if x > 0 and y > 0:
-            return 1
-        if x < 0 and y < 0:
-            return -1
-        # mixed signs: compare x^2 against 5 y^2 (sqrt5 is irrational, no tie)
-        if x > 0:  # y < 0: positive iff x > -y*sqrt5
-            return 1 if x * x > 5 * y * y else -1
-        return 1 if 5 * y * y > x * x else -1
+        """Exact sign of a + b*phi = (x + y*sqrt5) / 2 with x = 2a + b, y = b."""
+        x, y = 2 * self.a + self.b, self.b
+        sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+        if sx * sy >= 0:
+            return sx or sy
+        # mixed signs: sqrt5 is irrational, so x^2 and 5 y^2 never tie
+        return sx if x * x > 5 * y * y else sy
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -138,21 +114,6 @@ class GoldenNumber:
         if o is NotImplemented:
             return NotImplemented
         return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        return not self.__le__(other)
-
-    def __ge__(self, other):
-        return not self.__lt__(other)
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * (1 + 5 ** 0.5) / 2
 
     def __repr__(self):
         if self.b == 0:

@@ -9,7 +9,7 @@ permuting hyperplanes, sorting the image monomial (with the permutation
 sign), and rewriting non-NBC monomials through the circuit relations
 sum_j (-1)^j e_{C minus c_j} = 0.  Rank is computed by division-free
 elimination, which needs only products and differences, so it is exact
-for the integer roots and for the Q(phi) roots of the H types.
+for the integer roots and for the Z[phi] roots of the H types.
 """
 
 from __future__ import annotations

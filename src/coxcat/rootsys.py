@@ -1,12 +1,16 @@
 """Finite root systems with exact coordinates.
 
 Crystallographic types (A, B, C, D, E, F, G) use integer simple-root
-coordinates; H3 and H4 use GoldenNumber coordinates; I2(m) is represented
-without coordinates at all, as a permutation action on 2m rays.
+coordinates; H3 and H4 use coordinates in the ring Z[phi] (GoldenNumber with
+integer components); I2(m) is represented without coordinates at all, as a
+permutation action on 2m rays.  Coordinates only ever meet ring operations:
+sums, differences, products and sign tests.
 
 Positive roots are generated by closing the simple roots under the simple
 reflections and sorted by (height, coordinates), so every index-based
-structure downstream is deterministic.  A RootSystem is immutable after
+structure downstream is deterministic.  Each simple reflection is stored as
+a permutation table of the root indices, and every other reflection is
+built from those tables by conjugation.  A RootSystem is immutable after
 construction and safe to share across threads.
 """
 
@@ -113,20 +117,6 @@ def _cartan_matrix(family: str, n: int, edges: list):
     return a
 
 
-def _symmetrizer(family: str, n: int) -> list:
-    """Half squared lengths d_i, making d_i * cartan[i][j] symmetric."""
-    d = [Fraction(1)] * n
-    if family == "B":
-        d[n - 1] = Fraction(1, 2)
-    elif family == "C":
-        d[n - 1] = Fraction(2)
-    elif family == "F":
-        d[2] = d[3] = Fraction(1, 2)
-    elif family == "G":
-        d[1] = Fraction(3)
-    return d
-
-
 def _bipartition(n: int, edges: list) -> Tuple[frozenset, frozenset]:
     """Two-colour the (tree) diagram, node 0 in the plus part."""
     colour = {0: 0}
@@ -156,7 +146,6 @@ class CartanDatum:
     edges: tuple
     coxeter_m: tuple
     cartan: Optional[tuple]
-    symmetrizer: Optional[tuple]
     iplus: frozenset
     iminus: frozenset
     crystallographic: bool
@@ -174,7 +163,6 @@ def _make_datum(label: str) -> CartanDatum:
             edges=edges,
             coxeter_m=cox,
             cartan=None,
-            symmetrizer=None,
             iplus=frozenset({0}),
             iminus=frozenset({1}),
             crystallographic=False,
@@ -183,7 +171,6 @@ def _make_datum(label: str) -> CartanDatum:
     cox = _coxeter_matrix(family, n, edges)
     cartan = _cartan_matrix(family, n, edges)
     plus, minus = _bipartition(n, edges)
-    crys = family != "H"
     return CartanDatum(
         label=f"{family}{n}",
         family=family,
@@ -191,21 +178,14 @@ def _make_datum(label: str) -> CartanDatum:
         edges=tuple(edges),
         coxeter_m=tuple(tuple(r) for r in cox),
         cartan=tuple(tuple(r) for r in cartan),
-        symmetrizer=tuple(_symmetrizer(family, n)) if crys else tuple([Fraction(1)] * n),
         iplus=plus,
         iminus=minus,
-        crystallographic=crys,
+        crystallographic=family != "H",
     )
 
 
 def _zero_like(family: str):
     return GoldenNumber(0) if family == "H" else 0
-
-
-def _is_nonnegative(family: str, coords: tuple) -> bool:
-    if family == "H":
-        return all(c.sign() >= 0 for c in coords)
-    return all(c >= 0 for c in coords)
 
 
 def _simple_image(cartan, coords: tuple, i: int) -> tuple:
@@ -233,7 +213,7 @@ def _close_positive_roots(datum: CartanDatum) -> list:
             image = _simple_image(datum.cartan, coords, i)
             if image in found:
                 continue
-            if _is_nonnegative(datum.family, image):
+            if all(c >= 0 for c in image):
                 found.add(image)
                 queue.append(image)
     return sorted(found, key=lambda c: (sum(c[1:], start=c[0]), c))
@@ -275,7 +255,7 @@ class RootSystem:
         self._index = index
         self.heights = tuple(sum(c[1:], start=c[0]) for c in positives)
         self.supports = tuple(
-            frozenset(i for i, c in enumerate(coords) if not self._is_zero(c))
+            frozenset(i for i, c in enumerate(coords) if c != 0)
             for coords in positives
         )
         tables = []
@@ -363,9 +343,6 @@ class RootSystem:
                         stack.append(y)
         return seen == support
 
-    def _is_zero(self, c) -> bool:
-        return c.is_zero() if isinstance(c, GoldenNumber) else c == 0
-
     # -- basic data --------------------------------------------------------
 
     @property
@@ -409,25 +386,12 @@ class RootSystem:
     # -- full reflections ----------------------------------------------------
 
     def full_reflection_count(self) -> int:
-        """Number of reflections not contained in a proper parabolic."""
-        cached = getattr(self, "_full_count", None)
-        if cached is not None:
-            return cached
-        count = self._count_full_reflections()
-        self._full_count = count
-        return count
+        """Number of reflections not contained in a proper parabolic.
 
-    def _count_full_reflections(self) -> int:
-        if self.family == "I":
-            reflections = [
-                g for g in _dihedral_elements(self)
-                if _negated_positive_count(self, g) == 1
-            ]
-            if len(reflections) != self.m:
-                raise InternalError(f"{self.label}: expected {self.m} reflections")
-            return len(reflections) - 2
-        full = range(self.rank)
-        return sum(1 for s in self.supports if len(s) == len(full))
+        The reflection of beta lies in the parabolic of a subset J exactly
+        when beta is in the span of J, so these are the roots of full support.
+        """
+        return sum(1 for s in self.supports if len(s) == self.rank)
 
     def formula_value(self) -> Fraction:
         """(n h / |W|) * product of (e_i - 1) over the exponents above 1."""
@@ -437,59 +401,39 @@ class RootSystem:
         return Fraction(self.rank * self.coxeter_number * prod, self.order)
 
 
-def _dihedral_elements(rs: RootSystem) -> list:
-    """All 2m elements of I2(m), generated from the two simple tables."""
-    gens = rs.simple_tables
-    identity = rs.identity_table()
-    seen = {identity}
-    queue = [identity]
-    while queue:
-        g = queue.pop()
-        for s in gens:
-            h = tuple(s[x] for x in g)
-            if h not in seen:
-                seen.add(h)
-                queue.append(h)
-    return sorted(seen)
-
-
-def _negated_positive_count(rs: RootSystem, table: tuple) -> int:
-    N = rs.n_positive
-    return sum(1 for j in range(N) if table[j] == N + j)
-
-
 def reflection_of_root(rs: RootSystem, j: int) -> tuple:
-    """Permutation table of the reflection negating positive root j."""
-    if not 0 <= j < rs.n_positive:
+    """Permutation table of the reflection negating positive root j.
+
+    A walk up from the simple roots through the simple tables, staying
+    among positive roots, reaches beta_j = w(alpha_i) with
+    w = s_k1 ... s_kr; then s_beta = w s_i w^-1 (Humphreys, Reflection Groups
+    and Coxeter Groups, 1.2 and 1.14).  Only permutation tables are
+    composed, so every family, I2(m) included, takes this one path.
+    """
+    N = rs.n_positive
+    if not 0 <= j < N:
         raise ValueError(f"positive root index out of range: {j}")
-    if rs.family == "I":
-        m = rs.m
-        r = (-j) % m
-        return tuple((m - 2 * r - x) % (2 * m) for x in range(2 * m))
-    beta = rs.positive_roots[j]
-    d = rs.datum.symmetrizer
-    cartan = rs.datum.cartan
-
-    def inner(u: tuple, v: tuple):
-        total = cartan[0][0] * 0
-        for a in range(rs.rank):
-            for b in range(rs.rank):
-                total = total + d[a] * cartan[a][b] * u[a] * v[b]
-        return total
-
-    norm = inner(beta, beta)
-    table = []
-    for x in range(2 * rs.n_positive):
-        u = rs.root_coords(x)
-        coeff = 2 * inner(u, beta) / norm
-        if rs.crystallographic:
-            frac = Fraction(coeff)
-            if frac.denominator != 1:
-                raise InternalError("non-integral reflection coefficient")
-            coeff = frac.numerator
-        image = tuple(u[i] - coeff * beta[i] for i in range(rs.rank))
-        table.append(rs.root_index(image))
-    return tuple(table)
+    # step[y] = (k, x) with y = s_k(x); a simple root i has step (i, None)
+    step = {p: (i, None) for i, p in enumerate(rs.simple_positions)}
+    queue = list(step)
+    for x in queue:
+        if j in step:
+            break
+        for k, s in enumerate(rs.simple_tables):
+            y = s[x]
+            if y < N and y not in step:
+                step[y] = (k, x)
+                queue.append(y)
+    path = []
+    k, x = step[j]
+    while x is not None:
+        path.append(k)
+        k, x = step[x]
+    table = rs.simple_tables[k]
+    for k in reversed(path):
+        s = rs.simple_tables[k]
+        table = tuple(s[table[s[z]]] for z in range(2 * N))
+    return table
 
 
 @lru_cache(maxsize=None)

@@ -283,3 +283,32 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("label", ["H3", "H4"])
+def test_roots_json_prints_golden_heights_as_text(capsys, label):
+    code, out, err = run_cli(capsys, "roots", label, "--json")
+    assert code == 0
+    assert err == ""
+    assert out.count("\n") == 1
+    data = json.loads(out)
+    assert len(data["roots"]) == data["n_positive"]
+    _, text, _ = run_cli(capsys, "roots", label)
+    text_heights = [line.split("height ")[1] for line in text.splitlines()[2:]]
+    assert [r["height"] for r in data["roots"]] == text_heights
+
+
+SWEEP_COMMANDS = [
+    ("table",), ("roots",), ("roots", "--json"), ("antichains",), ("fpoly",),
+    ("os-character",), ("verify", "all"),
+]
+SWEEP_TYPES = ["A1", "B2", "C3", "D4", "G2", "F4", "H3", "H4", "I2(5)", "I2(30)", "E6"]
+
+
+@pytest.mark.parametrize("label", SWEEP_TYPES)
+@pytest.mark.parametrize("command", SWEEP_COMMANDS, ids=" ".join)
+def test_no_command_ends_in_a_traceback(capsys, command, label):
+    code, _, err = run_cli(capsys, *command, label)
+    assert code in (0, 2), (command, label, code)
+    if code == 2:
+        assert err.startswith("coxcat: ") and err.count("\n") == 1, err

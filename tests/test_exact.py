@@ -40,19 +40,6 @@ class TestGoldenNumber:
             assert x + y == y + x
             assert x * y == y * x
 
-    def test_inverse(self):
-        rng = random.Random(7)
-        for _ in range(100):
-            x = GoldenNumber(rng.randint(-9, 9), rng.randint(-9, 9))
-            if x.is_zero():
-                continue
-            assert x * x.inverse() == GoldenNumber(1)
-        assert PHI.inverse() == PHI - 1
-
-    def test_inverse_of_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            GoldenNumber(0, 0).inverse()
-
     def test_sign_matches_high_precision_float(self):
         rng = random.Random(99)
         phi_float = (1 + math.sqrt(5)) / 2
@@ -72,6 +59,29 @@ class TestGoldenNumber:
         assert x.sign() == 1
         y = GoldenNumber(Fraction(987, 610), -1)
         assert y.sign() == -1
+
+    def test_ordering_against_integers(self):
+        assert GoldenNumber(0, 1) > 1 and 2 > GoldenNumber(0, 1)
+        assert GoldenNumber(-2, 1) <= 0 <= GoldenNumber(-1, 1)
+        assert GoldenNumber(3) >= 3 and not GoldenNumber(3) > 3
+
+    def test_no_mixing_with_rationals(self):
+        # Z[phi] is not closed under division, so a rational operand is refused
+        # instead of being compared or combined silently
+        for op in (lambda x, q: x >= q, lambda x, q: x > q, lambda x, q: x + q,
+                   lambda x, q: q * x):
+            with pytest.raises(TypeError):
+                op(GoldenNumber(1), Fraction(1, 2))
+
+    def test_sign_beyond_float_precision(self):
+        # F(k) phi - F(k+1) = -(1 - phi)**k, so the sign alternates while the
+        # value shrinks like phi**-k, far below any float's resolution
+        fib = [0, 1]
+        while len(fib) < 102:
+            fib.append(fib[-1] + fib[-2])
+        for k in range(101):
+            assert GoldenNumber(-fib[k + 1], fib[k]).sign() == (-1) ** (k + 1)
+            assert GoldenNumber(fib[k + 1], -fib[k]).sign() == (-1) ** k
 
 
 class TestUniPoly:

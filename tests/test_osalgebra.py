@@ -64,6 +64,12 @@ def _ref_is_zero(x) -> bool:
     return x.is_zero() if isinstance(x, GoldenNumber) else x == 0
 
 
+def _ref_inverse(x: GoldenNumber) -> GoldenNumber:
+    """Inverse in Q(phi): a + b phi times its conjugate (a + b) - b phi is the norm."""
+    norm = x.a * x.a + x.a * x.b - x.b * x.b
+    return GoldenNumber(Fraction(x.a + x.b, norm), Fraction(-x.b, norm))
+
+
 class ReferenceVectorMatroid:
     def __init__(self, vectors):
         self.vectors = [tuple(v) for v in vectors]
@@ -88,7 +94,7 @@ class ReferenceVectorMatroid:
                 continue
             aug[r], aug[pivot] = aug[pivot], aug[r]
             inv = (
-                aug[r][col].inverse()
+                _ref_inverse(aug[r][col])
                 if isinstance(aug[r][col], GoldenNumber)
                 else Fraction(1) / aug[r][col]
             )

@@ -1,9 +1,12 @@
 """Root systems: closure, canonical order, exponents, full reflections."""
 
+from fractions import Fraction
+
 import pytest
 
 from coxcat.errors import UsageError
 from coxcat.exact import GoldenNumber
+from coxcat.groups import generate_group
 from coxcat.rootsys import (
     build_root_system,
     reflection_of_root,
@@ -175,8 +178,6 @@ def test_unsupported_labels_raise():
 
 
 def test_group_order_matches_generated_group_small_ranks():
-    from coxcat.groups import generate_group
-
     for label in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "G2", "H3", "I2(5)", "I2(9)"):
         rs = build_root_system(label)
         assert generate_group(rs).order == rs.order
@@ -192,6 +193,14 @@ def test_h3_coordinates_are_golden():
     )
 
 
+def test_golden_coordinates_are_integral():
+    for label in ("H3", "H4"):
+        rs = build_root_system(label)
+        for coords in rs.positive_roots:
+            for c in coords:
+                assert type(c.a) is int and type(c.b) is int, (label, coords)
+
+
 def test_i2_datum_only_model():
     rs = build_root_system("I2(9)")
     assert rs.positive_roots is None
@@ -199,3 +208,107 @@ def test_i2_datum_only_model():
     assert rs.simple_positions == (0, 8)
     assert rs.coxeter_number == 9
     assert rs.order == 18
+
+
+# The engine conjugation replaced: s_beta(u) = u - 2 (u, beta) / (beta, beta) beta
+# on coordinates, with the invariant form read off the Cartan matrix and the
+# half squared lengths of the simple roots, over the rationals or Q(phi), and
+# a closed formula on the dihedral model.  Kept here as the differential
+# reference.
+
+
+def _ref_symmetrizer(family, n):
+    """Half squared lengths d_i, making d_i * cartan[i][j] symmetric."""
+    d = [Fraction(1)] * n
+    if family == "B":
+        d[n - 1] = Fraction(1, 2)
+    elif family == "C":
+        d[n - 1] = Fraction(2)
+    elif family == "F":
+        d[2] = d[3] = Fraction(1, 2)
+    elif family == "G":
+        d[1] = Fraction(3)
+    elif family == "H":
+        d = [1] * n
+    return d
+
+
+def _ref_inverse(x):
+    """Inverse in Q(phi): a + b phi times its conjugate (a + b) - b phi is the norm."""
+    norm = x.a * x.a + x.a * x.b - x.b * x.b
+    return GoldenNumber(Fraction(x.a + x.b, norm), Fraction(-x.b, norm))
+
+
+def reference_reflection_of_root(rs, j):
+    if rs.family == "I":
+        m = rs.m
+        r = (-j) % m
+        return tuple((m - 2 * r - x) % (2 * m) for x in range(2 * m))
+    beta = rs.positive_roots[j]
+    d = _ref_symmetrizer(rs.family, rs.rank)
+    cartan = rs.datum.cartan
+
+    def inner(u, v):
+        total = cartan[0][0] * 0
+        for a in range(rs.rank):
+            for b in range(rs.rank):
+                total = total + d[a] * cartan[a][b] * u[a] * v[b]
+        return total
+
+    norm = inner(beta, beta)
+    table = []
+    for x in range(2 * rs.n_positive):
+        u = rs.root_coords(x)
+        if rs.crystallographic:
+            frac = Fraction(2 * inner(u, beta)) / norm
+            assert frac.denominator == 1, "non-integral reflection coefficient"
+            coeff = frac.numerator
+        else:
+            coeff = 2 * inner(u, beta) * _ref_inverse(norm)
+        image = tuple(u[i] - coeff * beta[i] for i in range(rs.rank))
+        table.append(rs.root_index(image))
+    return tuple(table)
+
+
+DIFFERENTIAL_TYPES = (
+    ["A%d" % n for n in range(1, 6)]
+    + ["B%d" % n for n in range(2, 6)]
+    + ["C%d" % n for n in range(3, 6)]
+    + ["D4", "D5", "E6", "F4", "G2", "H3"]
+    + ["I2(%d)" % m for m in range(5, 21)]
+)
+
+
+@pytest.mark.parametrize("label", DIFFERENTIAL_TYPES)
+def test_reflections_match_the_inner_product_reference(label):
+    rs = build_root_system(label)
+    for j in range(rs.n_positive):
+        assert reflection_of_root(rs, j) == reference_reflection_of_root(rs, j), (label, j)
+
+
+@pytest.mark.parametrize("label", ["E7", "E8", "H4", "I2(40)"])
+def test_reflection_tables_are_reflections(label):
+    rs = build_root_system(label)
+    N = rs.n_positive
+    tables = [reflection_of_root(rs, j) for j in range(N)]
+    for j, t in enumerate(tables):
+        assert all(t[t[x]] == x for x in range(2 * N))
+        assert t[j] == N + j and t[N + j] == j
+        assert [y for y in range(N) if t[y] == N + y] == [j]
+        for s in rs.simple_tables:
+            # s_k beta is a root whose reflection is s_k s_beta s_k
+            image = s[j] if s[j] < N else s[j] - N
+            assert tables[image] == tuple(s[t[s[x]]] for x in range(2 * N))
+
+
+def test_dihedral_reflections_are_the_group_elements_negating_one_root():
+    for m in range(5, 41):
+        rs = build_root_system("I2(%d)" % m)
+        tables = {reflection_of_root(rs, j) for j in range(m)}
+        assert len(tables) == m
+        assert rs.full_reflection_count() == m - 2
+        negating_one = {
+            g for g in generate_group(rs).elements
+            if sum(1 for j in range(m) if g[j] == m + j) == 1
+        }
+        assert negating_one == tables
