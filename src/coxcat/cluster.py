@@ -4,8 +4,9 @@ Vertices are indexed 0..n+N-1: vertex i < n is the negative simple -alpha_i
 (node i), vertex n+j is positive root j.  Compatibility is defined through
 the two rotation maps tau induced by the diagram bipartition; two vertices
 are compatible when both mutual compatibility degrees vanish, and the faces
-of the complex are exactly the cliques of that relation.  One clique walk
-yields both the face polynomial F and the maximal faces (the clusters).
+of the complex are exactly the cliques of that relation.  The face
+polynomial F comes from the clique tally; the maximal faces (the clusters)
+from a separate pivoted walk over the same graph.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ def compatibility_degree(rs: RootSystem, u: int, v: int) -> int:
 class ClusterComplex:
     """Compatibility graph of a crystallographic root system.
 
-    F and the maximal faces are read off one clique walk, made on first use.
+    F is read off the clique tally, made on first use; the maximal faces
+    are counted by kernels.maximal_cliques.
     """
 
     def __init__(self, rs: RootSystem, allow_large: bool = False):
@@ -114,7 +116,7 @@ class ClusterComplex:
 
     @cached_property
     def _faces(self) -> Dict[kernels.TallyKey, int]:
-        """Faces keyed by (positive vertices, negative simples, 0, maximal)."""
+        """Faces keyed by (positive vertices, negative simples, 0)."""
         return kernels.clique_tally(
             self.adjacency,
             special_mask=(1 << self.rs.rank) - 1,
@@ -125,14 +127,13 @@ class ClusterComplex:
     def f_tally(self) -> BiPoly:
         """F(x, y): face counts by x^(#positive vertices) y^(#negative simples)."""
         out: dict = {}
-        for (k, l, _, _), c in self._faces.items():
+        for (k, l, _), c in self._faces.items():
             out[(k, l)] = out.get((k, l), 0) + c
         return BiPoly(out)
 
     def maximal_face_count(self) -> Tuple[int, int]:
         """(number of maximal faces, minimum size among them)."""
-        maximal = [(k + l, c) for (k, l, _, is_max), c in self._faces.items() if is_max]
-        return sum(c for _, c in maximal), min(size for size, _ in maximal)
+        return kernels.maximal_cliques(self.adjacency)
 
 
 def f_polynomial(rs: RootSystem, allow_large: bool = False) -> BiPoly:

@@ -106,9 +106,6 @@ class GoldenNumber:
         # mixed signs: sqrt5 is irrational, so x^2 and 5 y^2 never tie
         return sx if x * x > 5 * y * y else sy
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def __lt__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:

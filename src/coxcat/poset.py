@@ -87,7 +87,7 @@ class AntichainTally:
             max_size=max(len(poset.nodes), 1),
         )
         counts = {}
-        for (j, l, em, _), c in raw.items():
+        for (j, l, em), c in raw.items():
             counts[(j + l, l, em)] = counts.get((j + l, l, em), 0) + c
         return AntichainTally(
             counts=tuple(sorted(counts.items())),

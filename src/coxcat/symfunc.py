@@ -75,12 +75,6 @@ class SymFunc:
     def one(truncation: int) -> "SymFunc":
         return SymFunc({(): UniPoly.one()}, truncation)
 
-    @staticmethod
-    def p(k: int, truncation: int) -> "SymFunc":
-        if k <= 0:
-            raise ValueError("power sums are indexed by positive integers")
-        return SymFunc({(k,): UniPoly.one()}, truncation)
-
     # -- ring operations ----------------------------------------------
     def _check_partner(self, other: "SymFunc"):
         if self.truncation != other.truncation:
@@ -92,9 +86,6 @@ class SymFunc:
         for lam, c in other.terms.items():
             out[lam] = out.get(lam, UniPoly.zero()) + c
         return SymFunc(out, self.truncation)
-
-    def __sub__(self, other: "SymFunc") -> "SymFunc":
-        return self + other.scale(Fraction(-1))
 
     def __mul__(self, other: "SymFunc") -> "SymFunc":
         self._check_partner(other)
@@ -124,10 +115,6 @@ class SymFunc:
         return hash((self.truncation, tuple(sorted(self.terms.items()))))
 
     # -- queries -------------------------------------------------------
-    def coefficient(self, lam: Iterable[int]) -> UniPoly:
-        key = tuple(sorted(lam, reverse=True))
-        return self.terms.get(key, UniPoly.zero())
-
     def has_constant_term(self) -> bool:
         return () in self.terms
 

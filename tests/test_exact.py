@@ -50,7 +50,7 @@ class TestGoldenNumber:
             approx = float(a) + float(b) * phi_float
             if abs(approx) > 1e-9:
                 assert x.sign() == (1 if approx > 0 else -1)
-            if x.is_zero():
+            if x == 0:
                 assert x.sign() == 0
 
     def test_sign_on_nearly_cancelling_values(self):

@@ -60,10 +60,6 @@ def test_capacity_guard():
 # the dihedral line arrangements.  Kept here as the differential reference.
 
 
-def _ref_is_zero(x) -> bool:
-    return x.is_zero() if isinstance(x, GoldenNumber) else x == 0
-
-
 def _ref_inverse(x: GoldenNumber) -> GoldenNumber:
     """Inverse in Q(phi): a + b phi times its conjugate (a + b) - b phi is the norm."""
     norm = x.a * x.a + x.a * x.b - x.b * x.b
@@ -87,7 +83,7 @@ class ReferenceVectorMatroid:
         for col in range(k):
             pivot = None
             for rr in range(r, rows):
-                if not _ref_is_zero(aug[rr][col]):
+                if aug[rr][col] != 0:
                     pivot = rr
                     break
             if pivot is None:
@@ -100,13 +96,13 @@ class ReferenceVectorMatroid:
             )
             aug[r] = [x * inv for x in aug[r]]
             for rr in range(rows):
-                if rr != r and not _ref_is_zero(aug[rr][col]):
+                if rr != r and aug[rr][col] != 0:
                     f = aug[rr][col]
                     aug[rr] = [a - f * b for a, b in zip(aug[rr], aug[r])]
             pivot_cols.append(col)
             r += 1
         for rr in range(r, rows):
-            if not _ref_is_zero(aug[rr][k]):
+            if aug[rr][k] != 0:
                 return None
         coeffs = [self.vectors[0][0] * 0] * k
         for row, col in enumerate(pivot_cols):
@@ -125,7 +121,7 @@ class ReferenceVectorMatroid:
         coeffs = self._solve(base, extra)
         if coeffs is None:
             return None
-        members = [extra] + [c for c, v in zip(base, coeffs) if not _ref_is_zero(v)]
+        members = [extra] + [c for c, v in zip(base, coeffs) if v != 0]
         return tuple(sorted(members))
 
 
