@@ -4,6 +4,8 @@ An element is the tuple g with g[x] = index of the image of root x, over
 all 2N roots (positives first, negative of positive j at N + j).  Groups
 are generated by closing the simple-reflection tables under composition;
 conjugacy classes by orbit partition under conjugation by the generators.
+A group with more than 256 roots or more than 10,000 elements is refused
+before any element is built.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .errors import CapacityExceeded, CheckFailed, InternalError
 from .rootsys import RootSystem
 
 _ORDER_CAP = 10_000
+_ROOT_CAP = 256  # roots a group element may permute
 
 
 def compose(g: tuple, h: tuple) -> tuple:
@@ -59,6 +62,10 @@ def generate_group(rs: RootSystem) -> GroupData:
 
     Cached per root system, which build_root_system caches per label.
     """
+    if 2 * rs.n_positive > _ROOT_CAP:
+        raise CapacityExceeded(
+            f"{rs.label}: {2 * rs.n_positive} roots exceed {_ROOT_CAP}"
+        )
     if rs.order > _ORDER_CAP:
         raise CapacityExceeded(f"{rs.label}: |W| = {rs.order} exceeds {_ORDER_CAP}")
     gens = rs.simple_tables

@@ -1,19 +1,40 @@
 """Graded characters of the reflection-arrangement cohomology.
 
-Hyperplanes are the positive roots in canonical order.  The algebra
-depends only on the matroid of the arrangement, and it is read off one
-memoized rank oracle: a set is independent when its rank is its size, and
-a circuit is read off the exchanges that keep a set independent.  It is
-presented on no-broken-circuit (NBC) monomials; a group element acts by
-permuting hyperplanes, sorting the image monomial (with the permutation
-sign), and rewriting non-NBC monomials through the circuit relations
+Hyperplanes are the positive roots in canonical order, and the graded
+character of g on the Orlik-Solomon (OS) algebra is
+
+    chi(g)(t) = sum_k tr(g|OS_k) (-t)^k = sum_{X in L^g} mu_{L^g}(0, X) t^{rk X},
+
+where L^g is the poset of flats that g maps to themselves.  OS_k splits
+over the flats of rank k as the reduced homology of the intervals
+(0, X) (Orlik-Solomon 1980; Bjorner 1982), so g permutes the summands
+and only the fixed flats contribute to its trace.  Geometric lattices
+are Cohen-Macaulay, and the Hopf trace formula makes each contribution a
+Moebius number of the g-fixed subposet (Baclawski-Bjorner 1979; Sundaram
+1994).  The Moebius function is computed rank by rank.
+
+Flats are hyperplane bitmasks.  Every flat of a Coxeter arrangement is
+W-conjugate to a standard parabolic one (Steinberg 1964; Orlik-Solomon,
+"Coxeter arrangements", 1983): for J a subset of the simple roots, the
+roots whose support lies in J, of rank |J|.  Closing these masks under
+the simple reflections' hyperplane permutations gives every flat with
+its rank, with no linear algebra, so the Z[phi] types cost no more than
+the integer ones.
+
+The no-broken-circuit (NBC) engine computes the same character from a
+presentation of the algebra.  It is read off one memoized rank oracle (a
+set is independent when its rank is its size, and a circuit is read off
+the exchanges that keep a set independent); a group element permutes
+hyperplanes, sorts the image monomial (with the permutation sign), and
+rewrites non-NBC monomials through the circuit relations
 sum_j (-1)^j e_{C minus c_j} = 0.  Rank is computed by division-free
-elimination, which needs only products and differences, so it is exact
-for the integer roots and for the Z[phi] roots of the H types.
+elimination.  It serves the S_n oracles of the series calibration,
+which stay independent of the fixed-flat engine, and the tests.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -237,23 +258,89 @@ def _elementary_symmetric(values: Sequence[int]) -> tuple:
     return tuple(coeffs)
 
 
-@lru_cache(maxsize=None)
-def os_graded_character(rs: RootSystem, group: GroupData) -> GradedCharacter:
-    """Per-class graded character chi(g)(t) = sum_k tr(g|OS_k) (-t)^k.
+def _indices(mask: int):
+    """Positions of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Cached per (root system, group); the algebra itself is not kept.
-    """
-    algebra = build_os_algebra(rs)
-    chars = []
-    for cls in group.classes:
-        hmap = hyperplane_map(rs, cls.rep)
-        coeffs = [
-            (-1) ** k * algebra.degree_trace(hmap, k) for k in range(rs.rank + 1)
-        ]
-        chars.append(UniPoly(coeffs))
-    gc = GradedCharacter(
-        rs=rs, classes=group.classes, chars=tuple(chars), dims=algebra.dims
+
+def _image(bits: Sequence[int], mask: int) -> int:
+    """Image of a hyperplane bitmask; bits[x] is the bit of the image of x."""
+    out = 0
+    for x in _indices(mask):
+        out |= bits[x]
+    return out
+
+
+@dataclass(frozen=True)
+class FlatLattice:
+    """Flats as hyperplane bitmasks, sorted by rank; lower[i] is the bitmask
+    of the indices of the flats contained in flat i, itself included."""
+
+    masks: Tuple[int, ...]
+    ranks: Tuple[int, ...]
+    lower: Tuple[int, ...]
+
+    def character(self, hmap: Sequence[int]) -> UniPoly:
+        """sum over the flats X fixed by hmap of mu(0, X) t^{rk X}."""
+        bits = [1 << y for y in hmap]
+        mu = [0] * len(self.masks)
+        coeffs = [0] * (self.ranks[-1] + 1)
+        fixed = 0
+        for i, mask in enumerate(self.masks):
+            if _image(bits, mask) != mask:
+                continue
+            fixed |= 1 << i
+            # every fixed flat strictly below flat i has a smaller index
+            below = (self.lower[i] & fixed) ^ (1 << i)
+            mu[i] = -sum(mu[j] for j in _indices(below)) if below else 1
+            coeffs[self.ranks[i]] += mu[i]
+        return UniPoly(coeffs)
+
+
+def flat_lattice(rs: RootSystem) -> FlatLattice:
+    """The standard parabolic flats closed under the simple reflections."""
+    rank_of: Dict[int, int] = {}
+    for size in range(rs.rank + 1):
+        for J in itertools.combinations(range(rs.rank), size):
+            parabolic = frozenset(J)
+            mask = sum(1 << x for x, support in enumerate(rs.supports) if support <= parabolic)
+            rank_of[mask] = size
+    gens = [[1 << y for y in hyperplane_map(rs, s)] for s in rs.simple_tables]
+    frontier = list(rank_of)
+    while frontier:
+        nxt = []
+        for mask in frontier:
+            for bits in gens:
+                image = _image(bits, mask)
+                if image not in rank_of:
+                    rank_of[image] = rank_of[mask]
+                    nxt.append(image)
+        frontier = nxt
+    masks = sorted(rank_of, key=lambda mask: (rank_of[mask], mask))
+    contains = [0] * rs.n_positive  # flats containing each hyperplane
+    for i, mask in enumerate(masks):
+        for x in _indices(mask):
+            contains[x] |= 1 << i
+    everything = (1 << len(masks)) - 1
+    lower = []
+    for mask in masks:
+        # a flat lies in this one unless it contains a hyperplane outside it
+        outside = 0
+        for x in range(rs.n_positive):
+            if not (mask >> x) & 1:
+                outside |= contains[x]
+        lower.append(everything & ~outside)
+    return FlatLattice(
+        masks=tuple(masks), ranks=tuple(rank_of[mask] for mask in masks), lower=tuple(lower)
     )
+
+
+def _checked_character(rs: RootSystem, group: GroupData, chars, dims) -> GradedCharacter:
+    """The class characters, once the identity's is prod (1 - e_i t)."""
+    gc = GradedCharacter(rs=rs, classes=group.classes, chars=tuple(chars), dims=dims)
     identity_char = gc.chars[gc.identity_index()]
     expected = UniPoly.one()
     for e in rs.exponents:
@@ -263,6 +350,29 @@ def os_graded_character(rs: RootSystem, group: GroupData) -> GradedCharacter:
             f"{rs.label}: identity character {identity_char!r} != {expected!r}"
         )
     return gc
+
+
+@lru_cache(maxsize=None)
+def os_graded_character(rs: RootSystem, group: GroupData) -> GradedCharacter:
+    """Per-class graded character chi(g)(t) by Moebius numbers of the fixed flats.
+
+    Cached per (root system, group); the flat lattice itself is not kept.
+    """
+    lattice = flat_lattice(rs)
+    chars = [lattice.character(hyperplane_map(rs, cls.rep)) for cls in group.classes]
+    return _checked_character(rs, group, chars, _elementary_symmetric(rs.exponents))
+
+
+def nbc_graded_character(rs: RootSystem, group: GroupData) -> GradedCharacter:
+    """The same character, chi(g)(t) = sum_k tr(g|OS_k) (-t)^k, from NBC bases."""
+    algebra = build_os_algebra(rs)
+    chars = []
+    for cls in group.classes:
+        hmap = hyperplane_map(rs, cls.rep)
+        chars.append(
+            UniPoly([(-1) ** k * algebra.degree_trace(hmap, k) for k in range(rs.rank + 1)])
+        )
+    return _checked_character(rs, group, chars, algebra.dims)
 
 
 def g_prime_character(gc: GradedCharacter) -> List[Fraction]:

@@ -4,9 +4,9 @@ Each test prints `criterion N: PASS/FAIL — detail`; with `pytest -v` the
 test names give one line per criterion as well.
 
 Criterion 9 checks the dihedral mechanism on every reflection class of
-I2(m), m = 5..8, with values that depend on the parity of m.  For a
-reflection sigma, the traces tr_k on the Orlik–Solomon degree k follow
-from the geometry alone:
+I2(m), m = 5..8, 26, 27, 127 and 128, with values that depend on the
+parity of m.  For a reflection sigma, the traces tr_k on the
+Orlik–Solomon degree k follow from the geometry alone:
 
 - tr_0 = 1;
 - tr_1 is the number of mirrors sigma fixes: 2 for even m (its own and
@@ -254,7 +254,7 @@ def reflection_values(values):
 def test_criterion_09_dihedral_quotient_traces():
     problems = []
     passes = {}
-    for m in (5, 6, 7, 8):
+    for m in (5, 6, 7, 8, 26, 27, 127, 128):
         label = f"I2({m})"
         expected = dihedral_reflection_expectation(m)
         rs = rs_for(label)

@@ -14,18 +14,22 @@ from coxcat.groups import generate_group
 from coxcat.osalgebra import (
     OSAlgebra,
     VectorMatroid,
+    _hyperplane_matroid,
     build_os_algebra,
     check_B_gprime_lemma,
     check_dihedral,
     check_dimension_identity,
+    flat_lattice,
     g_prime_character,
     hyperplane_map,
+    nbc_graded_character,
     os_graded_character,
     quotient_traces,
     reflection_class_indices,
     verify_main_conjecture,
 )
 from coxcat.rootsys import build_root_system
+from coxcat.symfunc import calibrated_bundle, class_value
 
 ORACLE_TYPES = ("A1", "A2", "A3", "B2", "B3", "I2(5)", "I2(6)", "I2(7)", "I2(8)", "H3")
 
@@ -236,6 +240,86 @@ def test_rank_axioms(drawn):
                 assert matroid.is_independent(part)
 
 
+# every type inside both the group cap and the 25-hyperplane NBC cap
+NBC_TYPES = (
+    [f"A{n}" for n in range(1, 7)]
+    + [f"B{n}" for n in range(2, 6)]
+    + [f"C{n}" for n in range(3, 6)]
+    + ["D4", "D5", "F4", "G2", "H3"]
+    + [f"I2({m})" for m in range(5, 26)]
+)
+
+
+@pytest.mark.parametrize("label", NBC_TYPES)
+def test_fixed_flat_characters_equal_nbc_characters(label):
+    rs = build_root_system(label)
+    group = generate_group(rs)
+    flats = os_graded_character(rs, group)
+    nbc = nbc_graded_character(rs, group)
+    assert flats.chars == nbc.chars
+    assert flats.dims == nbc.dims
+
+
+# every type with |W| <= 10,000 (a sample of the dihedral ones), and E6
+FLAT_TYPES = [label for label in NBC_TYPES if not label.startswith("I2")] + [
+    "I2(5)", "I2(8)", "I2(25)", "I2(26)", "I2(127)", "I2(128)", "E6",
+]
+
+
+@pytest.mark.parametrize("label", FLAT_TYPES)
+def test_orbit_flats_are_the_flats_of_the_rank_oracle(label):
+    rs = build_root_system(label)
+    lattice = flat_lattice(rs)
+    matroid = _hyperplane_matroid(rs)
+    N = rs.n_positive
+    by_rank = [[] for _ in range(rs.rank + 1)]
+    for mask, rank in zip(lattice.masks, lattice.ranks):
+        # a greedy basis has the parabolic rank |J|, and every hyperplane
+        # outside the flat raises the rank: the flat is closed
+        base = ()
+        for x in range(N):
+            if mask >> x & 1 and matroid.is_independent(base + (x,)):
+                base += (x,)
+        assert len(base) == rank, (mask, rank)
+        for x in range(N):
+            if not mask >> x & 1:
+                assert matroid.is_independent(base + (x,)), (mask, x)
+        by_rank[rank].append(mask)
+    # complete: each hyperplane x outside a flat F lies in a flat of the next
+    # rank above F, which is then the closure of F and x
+    everything = (1 << N) - 1
+    assert by_rank[0] == [0] and by_rank[rs.rank] == [everything]
+    for k in range(rs.rank):
+        for low in by_rank[k]:
+            covered = 0
+            for high in by_rank[k + 1]:
+                if low & ~high == 0:
+                    covered |= high
+            assert covered == everything, (low, k)
+
+
+def test_flat_lower_sets_are_containment():
+    for label in ("A4", "B4", "H3", "I2(8)"):
+        lattice = flat_lattice(build_root_system(label))
+        for i, mask in enumerate(lattice.masks):
+            expected = sum(
+                1 << j for j, other in enumerate(lattice.masks) if other & ~mask == 0
+            )
+            assert lattice.lower[i] == expected
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_gerst_class_values_equal_fixed_flat_characters(n):
+    # the series side, calibrated on S_2-S_4 only, against the arrangement
+    # of A_{n-1}: degree n of Gerst on cycle type lam is chi(C_lam)(t)
+    bundle = calibrated_bundle(7)
+    rs = build_root_system(f"A{n - 1}")
+    gc = os_graded_character(rs, generate_group(rs))
+    assert len(gc.classes) == len({cls.label for cls in gc.classes})
+    for cls, char in zip(gc.classes, gc.chars):
+        assert class_value(bundle, cls.label) == char, cls.label
+
+
 @pytest.mark.parametrize("label", ORACLE_TYPES)
 def test_identity_character_is_poincare_polynomial(label):
     rs = build_root_system(label)
@@ -292,7 +376,7 @@ def test_b_gprime_lemma(label):
 
 
 def test_dihedral_report_even():
-    for m in (6, 8):
+    for m in (6, 8, 26, 128):
         report = check_dihedral(build_root_system(f"I2({m})"))
         assert not report["odd"]
         assert len(report["reflections"]) == 2
@@ -307,7 +391,7 @@ def test_dihedral_report_odd():
     # a reflection in the odd dihedral group fixes only its own mirror, so
     # its character is 1 - t: the quotient has degree-1 trace 0 and the
     # t=1 value of the quotient is 1, not 0
-    for m in (5, 7):
+    for m in (5, 7, 27, 127):
         report = check_dihedral(build_root_system(f"I2({m})"))
         assert report["odd"]
         assert report["chi_r_regular"] is True
@@ -340,20 +424,26 @@ def test_dihedral_report_builds_group_once(monkeypatch, m):
 def test_verify_all_builds_each_os_algebra_once(monkeypatch):
     import coxcat.osalgebra as osalgebra
     from coxcat.reports import run_all_checks
-    from coxcat.symfunc import calibrated_bundle
 
     for cached in (generate_group, os_graded_character, calibrated_bundle):
         cached.cache_clear()
-    built = []
+    built, lattices = [], []
 
     def counting_build_os_algebra(rs_arg):
         built.append(rs_arg.label)
         return build_os_algebra(rs_arg)
 
+    def counting_flat_lattice(rs_arg):
+        lattices.append(rs_arg.label)
+        return flat_lattice(rs_arg)
+
     monkeypatch.setattr(osalgebra, "build_os_algebra", counting_build_os_algebra)
+    monkeypatch.setattr(osalgebra, "flat_lattice", counting_flat_lattice)
     assert all(report.passed for report in run_all_checks("B4"))
-    # B4 for main and b-lemmas, A1-A3 for the S_2-S_4 calibration oracles
-    assert sorted(built) == ["A1", "A2", "A3", "B4"]
+    # NBC only for the S_2-S_4 calibration oracles; main and b-lemmas share
+    # one B4 character, so one flat lattice
+    assert sorted(built) == ["A1", "A2", "A3"]
+    assert lattices == ["B4"]
 
 
 def test_dims_invariant_under_hyperplane_reordering():
