@@ -2,11 +2,13 @@
 
 Vertices are indexed 0..n+N-1: vertex i < n is the negative simple -alpha_i
 (node i), vertex n+j is positive root j.  Compatibility is defined through
-the two rotation maps tau induced by the diagram bipartition; two vertices
-are compatible when both mutual compatibility degrees vanish, and the faces
-of the complex are exactly the cliques of that relation.  The face
-polynomial F comes from the clique tally; the maximal faces (the clusters)
-from a separate pivoted walk over the same graph.
+the two rotation maps tau induced by the diagram bipartition, which rotate
+every vertex at once, so each vertex's compatibility degrees with all
+vertices come out as one row.  Two vertices are compatible when both mutual
+compatibility degrees vanish, and the faces of the complex are exactly the
+cliques of that relation.  The face polynomial F comes from the clique
+tally; the maximal faces (the clusters) from a separate pivoted walk over
+the same graph, and they must number Cat(W).
 """
 
 from __future__ import annotations
@@ -17,7 +19,12 @@ from typing import Dict, Tuple
 from . import kernels
 from .errors import CheckFailed, InternalError, UsageError
 from .exact import BiPoly, bipoly_substitute
-from .poset import check_catalan_budget, enumerate_antichains, h_polynomial
+from .poset import (
+    check_catalan_budget,
+    enumerate_antichains,
+    generalized_catalan,
+    h_polynomial,
+)
 from .rootsys import RootSystem
 
 
@@ -72,22 +79,45 @@ def tau_map(rs: RootSystem, eps: int, v: int) -> int:
     return _tau_tables(rs)[0 if eps > 0 else 1][v]
 
 
-def compatibility_degree(rs: RootSystem, u: int, v: int) -> int:
-    """Rotate the pair until u is a negative simple, then read off v."""
+@lru_cache(maxsize=None)
+def _compatibility_rows(rs: RootSystem) -> Tuple[bytes, ...]:
+    """Row u holds the compatibility degree of u with every vertex v.
+
+    The pair (u, v) is rotated by tau_+, tau_-, tau_+, ... until u is a
+    negative simple -alpha_i; the degree is then the alpha_i coordinate of
+    v, or 0 when v is a negative simple.  The rotations do not depend on u,
+    so each rotation step moves every vertex at once, and a row is read as
+    soon as its u lands on a negative simple.  Degrees are root
+    coordinates, far below 256, so a row fits in bytes.
+    """
     tau_plus, tau_minus = _tau_tables(rs)
     n = rs.rank
+    n_vertices = vertex_count(rs)
+    coordinate = [
+        bytes(n) + bytes(coords[i] for coords in rs.positive_roots) for i in range(n)
+    ]
     bound = 2 * (rs.coxeter_number + 2)
-    steps = 0
-    while u >= n:
-        if steps >= bound:
-            raise InternalError(f"{rs.label}: compatibility rotation exceeded {bound}")
+    rows: list = [None] * n_vertices
+    pending = list(range(n_vertices))
+    position = tuple(range(n_vertices))  # position[v]: v after the steps so far
+    for steps in range(bound + 1):
+        waiting = []
+        for u in pending:
+            if position[u] < n:
+                rows[u] = bytes(map(coordinate[position[u]].__getitem__, position))
+            else:
+                waiting.append(u)
+        pending = waiting
+        if not pending:
+            return tuple(rows)
         tau = tau_minus if steps % 2 else tau_plus
-        u, v = tau[u], tau[v]
-        steps += 1
-    if v < n:
-        return 0
-    coeff = rs.positive_roots[v - n][u]
-    return coeff if coeff > 0 else 0
+        position = tuple(map(tau.__getitem__, position))
+    raise InternalError(f"{rs.label}: compatibility rotation exceeded {bound}")
+
+
+def compatibility_degree(rs: RootSystem, u: int, v: int) -> int:
+    """Compatibility degree of vertex u with vertex v (not symmetric in general)."""
+    return _compatibility_rows(rs)[u][v]
 
 
 class ClusterComplex:
@@ -104,13 +134,12 @@ class ClusterComplex:
         self.rs = rs
         n_vertices = vertex_count(rs)
         self.n_vertices = n_vertices
+        rows = _compatibility_rows(rs)
         self.adjacency = [0] * n_vertices
         for u in range(n_vertices):
+            row = rows[u]
             for v in range(u + 1, n_vertices):
-                if (
-                    compatibility_degree(rs, u, v) == 0
-                    and compatibility_degree(rs, v, u) == 0
-                ):
+                if not row[v] and not rows[v][u]:
                     self.adjacency[u] |= 1 << v
                     self.adjacency[v] |= 1 << u
 
@@ -142,13 +171,25 @@ def f_polynomial(rs: RootSystem, allow_large: bool = False) -> BiPoly:
 
 
 def verify_hf_conjecture(rs: RootSystem, allow_large: bool = False) -> dict:
-    """Check H(x,y) = (1-x)^n F(x/(1-x), xy/(1-x)) exactly."""
+    """Check H(x,y) = (1-x)^n F(x/(1-x), xy/(1-x)) exactly.
+
+    Also checks that the clusters number Cat(W) and all have n members
+    (Fomin-Zelevinsky 2003): the complex is pure of dimension n - 1.
+    """
     h_poly = h_polynomial(enumerate_antichains(rs))
-    f_poly = f_polynomial(rs, allow_large=allow_large)
+    complex_ = ClusterComplex(rs, allow_large=allow_large)
+    f_poly = complex_.f_tally()
     transformed = bipoly_substitute(f_poly, rs.rank)
     if transformed != h_poly:
         diff = transformed - h_poly
         raise CheckFailed(
             f"{rs.label}: H != transformed F; difference terms {diff.sorted_terms()}"
+        )
+    clusters = complex_.maximal_face_count()
+    expected = (generalized_catalan(rs), rs.rank)
+    if clusters != expected:
+        raise CheckFailed(
+            f"{rs.label}: (maximal faces, smallest size) = {clusters}, "
+            f"expected (Cat(W), n) = {expected}"
         )
     return {"h": h_poly, "f": f_poly, "transformed": transformed}

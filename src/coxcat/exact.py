@@ -5,7 +5,8 @@ ring Z[phi], phi**2 = phi + 1, which holds the root coordinates of the
 non-crystallographic types H3 and H4).  Polynomials come in two flavours:
 `UniPoly` (one variable t, dense coefficient tuple) and `BiPoly` (two
 variables x, y, sparse term dict).  Everything is immutable and hashable, so
-values can be shared freely across threads and memo tables.
+values can be shared freely across threads and memo tables.  Counts that
+never leave the integers are multiplied as plain coefficient lists.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import total_ordering
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, List, Mapping, Sequence, Union
 
 from .errors import CheckFailed, InternalError
 
@@ -24,6 +25,15 @@ def format_rational(q: Fraction) -> str:
     """Render a rational as the canonical "num/den" string."""
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
+
+
+def int_poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Product of two integer coefficient lists, constant term first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 @total_ordering

@@ -196,7 +196,12 @@ def _simple_image(cartan, coords: tuple, i: int) -> tuple:
     return tuple(out)
 
 
-def _close_positive_roots(datum: CartanDatum) -> list:
+def _close_positive_roots(datum: CartanDatum) -> dict:
+    """Each positive root's coordinates, mapped to its n simple-reflection images.
+
+    Every root is closed over once, so each image is computed once here and
+    the permutation tables are read off these images.
+    """
     n = datum.rank
     zero = _zero_like(datum.family)
     one = zero + 1
@@ -207,16 +212,16 @@ def _close_positive_roots(datum: CartanDatum) -> list:
         simples.append(tuple(coords))
     found = set(simples)
     queue = list(simples)
+    images = {}
     while queue:
         coords = queue.pop()
-        for i in range(n):
-            image = _simple_image(datum.cartan, coords, i)
-            if image in found:
-                continue
-            if all(c >= 0 for c in image):
+        row = tuple(_simple_image(datum.cartan, coords, i) for i in range(n))
+        images[coords] = row
+        for image in row:
+            if image not in found and all(c >= 0 for c in image):
                 found.add(image)
                 queue.append(image)
-    return sorted(found, key=lambda c: (sum(c[1:], start=c[0]), c))
+    return images
 
 
 class RootSystem:
@@ -244,7 +249,8 @@ class RootSystem:
 
     def _build_coordinates(self) -> None:
         datum = self.datum
-        positives = _close_positive_roots(datum)
+        images = _close_positive_roots(datum)
+        positives = sorted(images, key=lambda c: (sum(c[1:], start=c[0]), c))
         n_pos = len(positives)
         self.positive_roots = tuple(positives)
         self.n_positive = n_pos
@@ -258,12 +264,11 @@ class RootSystem:
             frozenset(i for i, c in enumerate(coords) if c != 0)
             for coords in positives
         )
+        # s_i(-beta) = -s_i(beta): the negative half is the positive half negated
         tables = []
         for i in range(self.rank):
-            table = []
-            for x in range(2 * n_pos):
-                table.append(index[_simple_image(datum.cartan, self.root_coords(x), i)])
-            tables.append(tuple(table))
+            half = [index[images[coords][i]] for coords in positives]
+            tables.append(tuple(half + [self.neg(x) for x in half]))
         self.simple_tables = tuple(tables)
         self.simple_positions = tuple(self._simple_indices())
         if self.crystallographic:

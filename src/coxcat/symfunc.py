@@ -28,7 +28,7 @@ from math import comb, factorial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import CheckFailed, InternalError
-from .exact import UniPoly, centralizer_order, partitions_of
+from .exact import UniPoly, centralizer_order, int_poly_mul, partitions_of
 
 PartitionKey = Tuple[int, ...]
 IntPoly = Tuple[int, ...]  # integer coefficients of 1, t, t^2, ...
@@ -248,14 +248,6 @@ def _strip(row) -> IntPoly:
     return tuple(row)
 
 
-def _int_poly_mul(a: IntPoly, b: IntPoly) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def _gerst_class_values(truncation: int, twist: bool) -> List[ClassValues]:
     """Class values of 1 + G = 1 + Com o Lie, indexed by the degree.
 
@@ -272,7 +264,7 @@ def _gerst_class_values(truncation: int, twist: bool) -> List[ClassValues]:
             for lam, p in a[j].items():
                 for mu, q in g[n - j].items():
                     key, ways = _merge(lam, mu)
-                    _accumulate(acc.setdefault(key, []), _int_poly_mul(p, q), j * ways)
+                    _accumulate(acc.setdefault(key, []), int_poly_mul(p, q), j * ways)
         g_n: ClassValues = {}
         for key, row in acc.items():
             if any(c % n for c in row):
@@ -458,9 +450,9 @@ def verify_second_derivative_identity(bundle: SeriesBundle, max_degree: int) -> 
         for k in range(lam.count(1) + 1):
             mu = lam[: len(lam) - k]  # the 1-parts come last
             _, ways = _merge(mu, (1,) * k)
-            term = _int_poly_mul(_inverse_power(2, (1,) * k), one_plus_gerst.get(mu, ()))
+            term = int_poly_mul(_inverse_power(2, (1,) * k), one_plus_gerst.get(mu, ()))
             _accumulate(row, term, ways)
-        return _strip(_int_poly_mul((1, -1), row))
+        return _strip(int_poly_mul((1, -1), row))
 
     _require_equal("second-derivative identity", _d_dp1(bundle.gerst, 2), rhs, max_degree)
     return {"max_degree": max_degree}

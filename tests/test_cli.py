@@ -170,7 +170,7 @@ def test_usage_errors_exit_two(capsys):
     assert "coxcat:" in err
     code, _, err = run_cli(capsys, "verify", "main", "E8")
     assert code == 2
-    code, _, err = run_cli(capsys, "verify", "hf", "D9")
+    code, _, err = run_cli(capsys, "verify", "hf", "D11")
     assert code == 2
     code, _, err = run_cli(capsys, "fpoly", "I2(5)")
     assert code == 2  # non-crystallographic
@@ -179,7 +179,7 @@ def test_usage_errors_exit_two(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("antichains", "A10"),
+        ("antichains", "A12"),
         ("gerst", "--max-degree", "0"),
         ("gerst", "--max-degree", "-1"),
         ("verify", "gerst", "A2", "--max-degree", "0"),
@@ -202,13 +202,13 @@ def test_out_of_range_requests_exit_two_in_one_line(capsys, argv):
 
 
 def test_fpoly_allow_large_override(capsys):
-    # Cat(D9) = 35750 is over the Cat(E8) budget
-    code, _, _ = run_cli(capsys, "fpoly", "D9", "--json")
+    # Cat(D11) = 520676 is over the Catalan budget
+    code, _, _ = run_cli(capsys, "fpoly", "D11", "--json")
     assert code == 2
-    code, out, _ = run_cli(capsys, "fpoly", "D9", "--allow-large", "--json")
+    code, out, _ = run_cli(capsys, "fpoly", "D11", "--allow-large", "--json")
     assert code == 0
     data = json.loads(out)
-    assert data["maximal_faces"] == 35750
+    assert data["maximal_faces"] == 520676
 
 
 @pytest.mark.parametrize("label", ["E7", "E8", "A9"])
@@ -222,13 +222,13 @@ def test_verify_all_runs_enumerations_up_to_the_catalan_budget(capsys, label):
 
 
 def test_verify_all_notes_the_catalan_budget_beyond_it(capsys):
-    code, out, _ = run_cli(capsys, "verify", "all", "A10", "--json")
+    code, out, _ = run_cli(capsys, "verify", "all", "A12", "--json")
     assert code == 0
     reports = {r["check"]: r for r in json.loads(out)["reports"]}
     for check in ("antichain-lemmas", "p-mobius", "hf"):
         note = reports[check]["details"]["note"]
         assert note.startswith("not applicable: outside oracle capacity"), note
-        assert "A10: Cat(W) = 58786 exceeds the enumeration budget 25080" in note
+        assert "A12: Cat(W) = 742900 exceeds the enumeration budget 250000" in note
 
 
 def test_max_degree_is_plumbed(capsys):

@@ -1,5 +1,6 @@
 """Cluster complexes: rotations, compatibility, face polynomials."""
 
+import re
 from functools import lru_cache
 from math import comb
 
@@ -7,6 +8,7 @@ import pytest
 
 from coxcat import kernels
 from coxcat.cluster import (
+    _tau_tables,
     ClusterComplex,
     compatibility_degree,
     f_polynomial,
@@ -14,7 +16,7 @@ from coxcat.cluster import (
     verify_hf_conjecture,
     vertex_count,
 )
-from coxcat.errors import InternalError
+from coxcat.errors import CheckFailed, InternalError
 from coxcat.exact import BiPoly
 from coxcat.poset import enumerate_antichains
 from coxcat.rootsys import build_root_system
@@ -70,6 +72,9 @@ CRYSTALLOGRAPHIC_TO_E8 = (
     + ["E6", "E7", "E8", "F4", "G2"]
 )
 
+# Every crystallographic type with Cat(W) <= Cat(E8), as in test_kernels.
+BUDGET_TYPES = CRYSTALLOGRAPHIC_TO_E8 + ["A9"]
+
 
 @pytest.mark.parametrize("label", CRYSTALLOGRAPHIC_TO_E8)
 def test_tau_tables_match_the_per_call_rotation(label):
@@ -108,6 +113,34 @@ def test_compatibility_degree_examples_a2():
     assert compatibility_degree(rs, a1, a2) == 1
     assert compatibility_degree(rs, a1, a12) == 0
     assert compatibility_degree(rs, neg0, neg1) == 0
+
+
+# The rotation the compatibility rows replaced: each pair rotated on its own.
+def reference_compatibility_degree(rs, u, v):
+    tau_plus, tau_minus = _tau_tables(rs)
+    n = rs.rank
+    bound = 2 * (rs.coxeter_number + 2)
+    steps = 0
+    while u >= n:
+        if steps >= bound:
+            raise InternalError(f"{rs.label}: compatibility rotation exceeded {bound}")
+        tau = tau_minus if steps % 2 else tau_plus
+        u, v = tau[u], tau[v]
+        steps += 1
+    if v < n:
+        return 0
+    coeff = rs.positive_roots[v - n][u]
+    return coeff if coeff > 0 else 0
+
+
+@pytest.mark.parametrize("label", BUDGET_TYPES)
+def test_compatibility_degrees_match_the_per_pair_rotation(label):
+    rs = build_root_system(label)
+    n_v = vertex_count(rs)
+    for u in range(n_v):
+        for v in range(u, n_v):
+            assert compatibility_degree(rs, u, v) == reference_compatibility_degree(rs, u, v)
+            assert compatibility_degree(rs, v, u) == reference_compatibility_degree(rs, v, u)
 
 
 def test_compatibility_zero_is_symmetric():
@@ -191,8 +224,21 @@ def test_a2_golden_h_and_f_values():
     )
 
 
+def test_cluster_count_must_be_catalan(monkeypatch):
+    rs = build_root_system("A3")
+    verify_hf_conjecture(rs)
+    for tampered in ((15, 3), (14, 2)):
+        monkeypatch.setattr(kernels, "maximal_cliques", lambda adj, out=tampered: out)
+        message = (
+            f"A3: (maximal faces, smallest size) = {tampered}, "
+            "expected (Cat(W), n) = (14, 3)"
+        )
+        with pytest.raises(CheckFailed, match="^" + re.escape(message) + "$"):
+            verify_hf_conjecture(rs)
+
+
 def test_large_rank_needs_flag():
     from coxcat.errors import CapacityExceeded
 
-    with pytest.raises(CapacityExceeded, match=r"A10: Cat\(W\) = 58786 exceeds"):
-        ClusterComplex(build_root_system("A10"))
+    with pytest.raises(CapacityExceeded, match=r"A12: Cat\(W\) = 742900 exceeds"):
+        ClusterComplex(build_root_system("A12"))

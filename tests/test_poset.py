@@ -1,6 +1,8 @@
 """Root poset antichains and the N, H, P polynomials."""
 
 import itertools
+from fractions import Fraction
+from math import comb
 from types import SimpleNamespace
 
 import pytest
@@ -10,6 +12,7 @@ from coxcat.exact import BiPoly
 from coxcat.poset import (
     AntichainTally,
     RootPoset,
+    _components,
     check_antichain_lemmas,
     enumerate_antichains,
     generalized_catalan,
@@ -27,6 +30,9 @@ CRYSTALLOGRAPHIC_RANK_LE_8 = (
     + ["D%d" % n for n in range(4, 9)]
     + ["E6", "E7", "E8", "F4", "G2"]
 )
+
+# Every crystallographic type with Cat(W) <= Cat(E8), as in test_kernels.
+BUDGET_TYPES = CRYSTALLOGRAPHIC_RANK_LE_8 + ["A9"]
 
 
 def brute_force_antichains(rs):
@@ -188,3 +194,109 @@ def test_parabolic_restriction_counts():
     sub = RootPoset(rs, nodes=frozenset({0, 1}))
     assert sub.size == 3
     assert AntichainTally.from_poset(sub).total == 5
+
+
+def test_antichain_total_must_be_catalan(monkeypatch):
+    import coxcat.poset as poset
+
+    rs = build_root_system("A3")
+    true_tally = enumerate_antichains(rs)
+    # one more antichain of sizes 1 and 2, each with one simple root and no
+    # full support: every clause but the count still holds
+    extra = (((1, 1, 0), 1), ((2, 1, 0), 1))
+    broken = AntichainTally(
+        counts=tuple(sorted(true_tally.counts + extra)),
+        n_edges=true_tally.n_edges,
+        rank=true_tally.rank,
+    )
+    monkeypatch.setattr(poset, "enumerate_antichains", lambda rs_arg: broken)
+    with pytest.raises(CheckFailed, match=r"^\(g\) 16 antichains, Cat\(W\) = 14$"):
+        check_antichain_lemmas(rs)
+
+
+def narayana_closed_form(family, n, k):
+    """Antichains of size k in the root poset (Reiner 1997; Athanasiadis-Reiner 2004)."""
+    if family == "A":
+        return Fraction(comb(n + 1, k) * comb(n + 1, k + 1), n + 1)
+    if family in "BC":
+        return Fraction(comb(n, k) ** 2)
+    if family == "D":
+        correction = comb(n - 1, k) * comb(n - 1, k - 1) if k else 0
+        return comb(n, k) ** 2 - Fraction(n, n - 1) * correction
+    raise ValueError(family)
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["A4", "B4", "C4", "D5", "A10", "A11", "B9", "B10", "C9", "C10", "D9", "D10"],
+)
+def test_narayana_equals_the_closed_forms(label):
+    rs = build_root_system(label)
+    tally = enumerate_antichains(rs)
+    assert tally.total == generalized_catalan(rs)
+    expected = BiPoly(
+        {(k, 0): narayana_closed_form(rs.family, rs.rank, k) for k in range(rs.rank + 1)}
+    )
+    assert narayana_polynomial(tally) == expected
+
+
+# The comparison the cover closure replaced: every pair of roots of the
+# (sub-)poset compared coordinate by coordinate.
+def reference_incomparable(poset):
+    roots = [poset.rs.positive_roots[j] for j in poset.root_ids]
+
+    def leq(u, v):
+        return all(x <= y for x, y in zip(u, v))
+
+    out = [0] * poset.size
+    for a in range(poset.size):
+        for b in range(a + 1, poset.size):
+            if not (leq(roots[a], roots[b]) or leq(roots[b], roots[a])):
+                out[a] |= 1 << b
+                out[b] |= 1 << a
+    return out
+
+
+@pytest.mark.parametrize("label", BUDGET_TYPES)
+def test_incomparability_matches_the_pairwise_reference(label):
+    poset = RootPoset(build_root_system(label))
+    assert poset.incomparable == reference_incomparable(poset)
+
+
+def test_e8_parabolic_incomparability_matches_the_pairwise_reference():
+    rs = build_root_system("E8")
+    edges = list(rs.datum.edges)
+    components = set()
+    for picked in range(1 << len(edges)):
+        subset = [e for i, e in enumerate(edges) if (picked >> i) & 1]
+        components.update(_components(rs.rank, subset))
+    assert len(components) > rs.rank
+    for nodes in components:
+        poset = RootPoset(rs, nodes)
+        assert poset.incomparable == reference_incomparable(poset), sorted(nodes)
+
+
+# The sum the integer coefficient lists replaced: every term a product of
+# Fraction-valued BiPoly Narayana polynomials.
+def reference_p_polynomial_mobius(rs):
+    edges = list(rs.datum.edges)
+    total = BiPoly.zero()
+    for picked in range(1 << len(edges)):
+        subset = [e for i, e in enumerate(edges) if (picked >> i) & 1]
+        sign = (-1) ** (len(edges) - len(subset))
+        product = BiPoly.one()
+        for component in _components(rs.rank, subset):
+            nodes = None if len(component) == rs.rank else component
+            product = product * narayana_polynomial(enumerate_antichains(rs, nodes))
+        total = total + sign * product
+    return total
+
+
+@pytest.mark.parametrize("label", CRYSTALLOGRAPHIC_RANK_LE_8)
+def test_mobius_sum_matches_the_fraction_reference(label):
+    rs = build_root_system(label)
+    mobius = p_polynomial_mobius(rs)
+    reference = reference_p_polynomial_mobius(rs)
+    assert mobius == reference
+    # the same exact values, printed the same way
+    assert mobius.to_json() == reference.to_json()

@@ -312,3 +312,29 @@ def test_dihedral_reflections_are_the_group_elements_negating_one_root():
             if sum(1 for j in range(m) if g[j] == m + j) == 1
         }
         assert negating_one == tables
+
+
+# The table build the negation fill replaced: all 2N entries of each simple
+# reflection's table computed from coordinates and looked up.
+def reference_simple_tables(rs):
+    cartan = rs.datum.cartan
+    n = rs.rank
+    out = []
+    for i in range(n):
+        table = []
+        for x in range(2 * rs.n_positive):
+            coords = rs.root_coords(x)
+            pairing = sum(
+                (cartan[i][k] * coords[k] for k in range(1, n)),
+                start=cartan[i][0] * coords[0],
+            )
+            image = tuple(c - pairing if k == i else c for k, c in enumerate(coords))
+            table.append(rs.root_index(image))
+        out.append(tuple(table))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("label", [t for t in ALL_TABLE_TYPES if not t.startswith("I2")])
+def test_simple_tables_match_the_full_table_reference(label):
+    rs = build_root_system(label)
+    assert rs.simple_tables == reference_simple_tables(rs)

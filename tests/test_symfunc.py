@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import coxcat.symfunc as symfunc
 from coxcat.errors import CheckFailed, InternalError
-from coxcat.exact import UniPoly, partitions_of, unipoly_divide_exact
+from coxcat.exact import UniPoly, int_poly_mul, partitions_of, unipoly_divide_exact
 from coxcat.groups import chi_R, generate_group
 from coxcat.osalgebra import os_graded_character
 from coxcat.rootsys import build_root_system
@@ -539,7 +539,7 @@ def class_value_product(f, g, truncation):
         for mu, q_values in g.items():
             if sum(lam) + sum(mu) <= truncation:
                 key, ways = symfunc._merge(lam, mu)
-                product = symfunc._int_poly_mul(p_values, q_values)
+                product = int_poly_mul(p_values, q_values)
                 symfunc._accumulate(acc.setdefault(key, []), product, ways)
     return {lam: tuple(row) for lam, row in acc.items()}
 
