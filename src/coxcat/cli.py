@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import List
 
 from .errors import UsageError
@@ -21,7 +20,7 @@ from .exact import format_rational
 from .groups import generate_group
 from .osalgebra import os_graded_character
 from .poset import enumerate_antichains
-from .reports import CHECK_NAMES, expected_full_count, jsonable, run_all_checks, run_check
+from .reports import CHECK_NAMES, jsonable, run_all_checks, run_check
 from .rootsys import build_root_system
 from .symfunc import calibrated_bundle
 
@@ -39,9 +38,7 @@ def cmd_table(args) -> int:
     rows = []
     for label in args.types:
         rs = build_root_system(label)
-        counted = rs.full_reflection_count()
-        formula = rs.formula_value()
-        closed = expected_full_count(rs)
+        report = run_check("formula", label)
         rows.append(
             {
                 "type": rs.label,
@@ -49,9 +46,9 @@ def cmd_table(args) -> int:
                 "coxeter_number": rs.coxeter_number,
                 "order": rs.order,
                 "exponents": list(rs.exponents),
-                "full_counted": counted,
-                "full_formula": format_rational(formula),
-                "match": Fraction(counted) == formula and counted == closed,
+                "full_counted": report.details["counted"],
+                "full_formula": format_rational(report.details["formula"]),
+                "match": report.passed,
             }
         )
     if args.json:
@@ -246,18 +243,9 @@ def cmd_gerst(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.check == "all":
-        reports = run_all_checks(
-            args.type, max_degree=args.max_degree, allow_large=args.allow_large
-        )
+        reports = run_all_checks(args.type, max_degree=args.max_degree)
     else:
-        reports = [
-            run_check(
-                args.check,
-                args.type,
-                max_degree=args.max_degree,
-                allow_large=args.allow_large,
-            )
-        ]
+        reports = [run_check(args.check, args.type, max_degree=args.max_degree)]
     if args.json:
         _emit_json({"reports": [r.to_json() for r in reports]})
     else:
@@ -329,7 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("type", metavar="TYPE")
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--max-degree", type=_positive_int, default=7, metavar="N")
-    p_verify.add_argument("--allow-large", action="store_true")
+    p_verify.add_argument(
+        "--allow-large",
+        action="store_true",
+        help="accepted for symmetry with fpoly; has no effect on checks",
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

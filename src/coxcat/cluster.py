@@ -170,14 +170,14 @@ def f_polynomial(rs: RootSystem, allow_large: bool = False) -> BiPoly:
     return ClusterComplex(rs, allow_large=allow_large).f_tally()
 
 
-def verify_hf_conjecture(rs: RootSystem, allow_large: bool = False) -> dict:
+def verify_hf_conjecture(rs: RootSystem) -> dict:
     """Check H(x,y) = (1-x)^n F(x/(1-x), xy/(1-x)) exactly.
 
     Also checks that the clusters number Cat(W) and all have n members
     (Fomin-Zelevinsky 2003): the complex is pure of dimension n - 1.
     """
     h_poly = h_polynomial(enumerate_antichains(rs))
-    complex_ = ClusterComplex(rs, allow_large=allow_large)
+    complex_ = ClusterComplex(rs)
     f_poly = complex_.f_tally()
     transformed = bipoly_substitute(f_poly, rs.rank)
     if transformed != h_poly:

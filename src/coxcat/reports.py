@@ -1,9 +1,11 @@
 """Verification reports: one named check, one type label, one verdict.
 
-A report passes exactly when its witness list is empty.  The renderings
-(text and JSON) are deterministic; timing is kept on the object for
-callers but never written to stdout, so output stays byte-identical
-across runs.
+`run_check` is the one place a check is named, timed and recorded: it
+builds the report, runs the check, turns a `CheckFailed` into a witness
+and sets the elapsed milliseconds.  A report passes exactly when its
+witness list is empty.  The renderings (text and JSON) are
+deterministic; timing is kept on the object for callers but never
+written to stdout, so output stays byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -15,17 +17,6 @@ from typing import Callable, Dict, List
 
 from .errors import CapacityExceeded, CheckFailed
 from .exact import BiPoly, UniPoly, format_rational
-
-CHECK_NAMES = (
-    "formula",
-    "antichain-lemmas",
-    "p-mobius",
-    "hf",
-    "main",
-    "b-lemmas",
-    "gerst",
-    "bonzero",
-)
 
 # closed forms behind the full-reflection column of the summary table
 _TABLE_RULES = {
@@ -39,10 +30,6 @@ _TABLE_RULES = {
     "H": lambda n, m: {3: 8, 4: 42}[n],
     "I": lambda n, m: m - 2,
 }
-
-
-def expected_full_count(rs) -> int:
-    return _TABLE_RULES[rs.family](rs.rank, rs.m)
 
 
 def jsonable(value):
@@ -79,18 +66,17 @@ def _key_str(key) -> str:
 class VerificationReport:
     check: str
     type_label: str
-    status: str
-    witnesses: List[str]
-    ms: float
+    witnesses: List[str] = field(default_factory=list)
+    ms: float = 0.0
     details: Dict[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if (self.status == "pass") != (not self.witnesses):
-            raise ValueError("status must be pass exactly when witnesses is empty")
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return not self.witnesses
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
     def to_json(self) -> dict:
         return {
@@ -125,106 +111,77 @@ def _detail_str(value) -> str:
     return str(value)
 
 
-def _report(check: str, label: str, started: float, witnesses: List[str], details: dict) -> VerificationReport:
-    return VerificationReport(
-        check=check,
-        type_label=label,
-        status="pass" if not witnesses else "fail",
-        witnesses=witnesses,
-        ms=(time.perf_counter() - started) * 1000.0,
-        details=details,
-    )
+def _not_applicable(report: VerificationReport, why: str) -> None:
+    report.details["note"] = f"not applicable: {why}"
 
 
-def _not_applicable(check: str, label: str, started: float, why: str) -> VerificationReport:
-    return _report(check, label, started, [], {"note": f"not applicable: {why}"})
-
-
-def run_check(
-    check: str,
-    label: str,
-    *,
-    max_degree: int = 7,
-    allow_large: bool = False,
-) -> VerificationReport:
+def run_check(check: str, label: str, *, max_degree: int = 7) -> VerificationReport:
     """Run one named verification against one type and report the outcome.
 
-    Witnesses are recorded for genuine mathematical failures; preconditions
+    A `CheckFailed` raised by the check becomes its witness; preconditions
     (unknown labels, capacity limits) raise instead, so the caller can map
     them to a usage error.
     """
-    if check not in CHECK_NAMES:
+    if check not in _RUNNERS:
         raise ValueError(f"unknown check {check!r}")
     from .rootsys import build_root_system
 
     started = time.perf_counter()
     rs = build_root_system(label)
-    runner = _RUNNERS[check]
-    return runner(rs, started, max_degree, allow_large)
+    report = VerificationReport(check, rs.label)
+    try:
+        _RUNNERS[check](rs, report, max_degree)
+    except CheckFailed as exc:
+        report.witnesses.append(str(exc))
+    report.ms = (time.perf_counter() - started) * 1000.0
+    return report
 
 
-def run_all_checks(
-    label: str, *, max_degree: int = 7, allow_large: bool = False
-) -> List[VerificationReport]:
+def run_all_checks(label: str, *, max_degree: int = 7) -> List[VerificationReport]:
     """All checks in order; capacity overruns become vacuous passes.
 
     Requesting one specific check beyond capacity is a usage error, but
     `all` simply runs whatever the oracles can reach for the type.
     """
+    from .rootsys import build_root_system
+
     reports = []
     for name in CHECK_NAMES:
         started = time.perf_counter()
         try:
-            reports.append(
-                run_check(name, label, max_degree=max_degree, allow_large=allow_large)
-            )
+            reports.append(run_check(name, label, max_degree=max_degree))
         except CapacityExceeded as exc:
-            reports.append(
-                _not_applicable(name, label, started, f"outside oracle capacity ({exc})")
-            )
+            report = VerificationReport(name, build_root_system(label).label)
+            _not_applicable(report, f"outside oracle capacity ({exc})")
+            report.ms = (time.perf_counter() - started) * 1000.0
+            reports.append(report)
     return reports
 
 
-def _run_formula(rs, started, max_degree, allow_large) -> VerificationReport:
+def _run_formula(rs, report, max_degree) -> None:
     counted = rs.full_reflection_count()
     formula = rs.formula_value()
-    table = expected_full_count(rs)
-    witnesses: List[str] = []
+    closed = _TABLE_RULES[rs.family](rs.rank, rs.m)
+    report.details.update(counted=counted, formula=formula, closed_form=closed)
     if Fraction(counted) != formula:
-        witnesses.append(f"counted {counted} != formula value {format_rational(formula)}")
-    if counted != table:
-        witnesses.append(f"counted {counted} != closed form {table}")
-    details = {"counted": counted, "formula": formula, "closed_form": table}
-    return _report("formula", rs.label, started, witnesses, details)
+        report.witnesses.append(f"counted {counted} != formula value {format_rational(formula)}")
+    if counted != closed:
+        report.witnesses.append(f"counted {counted} != closed form {closed}")
 
 
-def _run_antichain_lemmas(rs, started, max_degree, allow_large) -> VerificationReport:
+def _run_antichain_lemmas(rs, report, max_degree) -> None:
     if not rs.crystallographic:
-        return _not_applicable(
-            "antichain-lemmas", rs.label, started, "needs integer root coordinates"
-        )
+        return _not_applicable(report, "needs integer root coordinates")
     from .poset import check_antichain_lemmas
 
-    witnesses: List[str] = []
-    details: dict = {}
-    try:
-        summary = check_antichain_lemmas(rs)
-        details = {
-            "total": summary["total"],
-            "narayana": summary["narayana"],
-            "p_top": summary["p_top"],
-            "full_count": summary["full_count"],
-        }
-    except CheckFailed as exc:
-        witnesses.append(str(exc))
-    return _report("antichain-lemmas", rs.label, started, witnesses, details)
+    summary = check_antichain_lemmas(rs)
+    for key in ("total", "narayana", "p_top", "full_count"):
+        report.details[key] = summary[key]
 
 
-def _run_p_mobius(rs, started, max_degree, allow_large) -> VerificationReport:
+def _run_p_mobius(rs, report, max_degree) -> None:
     if not rs.crystallographic:
-        return _not_applicable(
-            "p-mobius", rs.label, started, "needs integer root coordinates"
-        )
+        return _not_applicable(report, "needs integer root coordinates")
     from .poset import (
         enumerate_antichains,
         h_polynomial,
@@ -235,78 +192,50 @@ def _run_p_mobius(rs, started, max_degree, allow_large) -> VerificationReport:
     tally = enumerate_antichains(rs)
     direct = p_polynomial_direct(tally)
     mobius = p_polynomial_mobius(rs)
-    witnesses: List[str] = []
-    if direct != mobius:
-        witnesses.append(
-            f"direct {direct!r} != inclusion-exclusion {mobius!r}"
-        )
     f_count = rs.full_reflection_count()
+    report.details.update(p=direct, full_count=f_count)
+    if direct != mobius:
+        report.witnesses.append(f"direct {direct!r} != inclusion-exclusion {mobius!r}")
     top = direct.coefficient(rs.rank - 1, 0)
     if top != f_count:
-        witnesses.append(f"P coefficient of x^(n-1) is {top}, full count is {f_count}")
+        report.witnesses.append(f"P coefficient of x^(n-1) is {top}, full count is {f_count}")
     h_val = h_polynomial(tally).coefficient(rs.rank - 1, 0)
     if h_val != f_count:
-        witnesses.append(f"H(n-1, 0) coefficient is {h_val}, full count is {f_count}")
-    details = {"p": direct, "full_count": f_count}
-    return _report("p-mobius", rs.label, started, witnesses, details)
+        report.witnesses.append(f"H(n-1, 0) coefficient is {h_val}, full count is {f_count}")
 
 
-def _run_hf(rs, started, max_degree, allow_large) -> VerificationReport:
+def _run_hf(rs, report, max_degree) -> None:
     if not rs.crystallographic:
-        return _not_applicable("hf", rs.label, started, "needs integer root coordinates")
+        return _not_applicable(report, "needs integer root coordinates")
     from .cluster import verify_hf_conjecture
 
-    witnesses: List[str] = []
-    details: dict = {}
-    try:
-        summary = verify_hf_conjecture(rs, allow_large=allow_large)
-        details = {"h": summary["h"], "f": summary["f"]}
-    except CheckFailed as exc:
-        witnesses.append(str(exc))
-    return _report("hf", rs.label, started, witnesses, details)
+    summary = verify_hf_conjecture(rs)
+    report.details.update(h=summary["h"], f=summary["f"])
 
 
-def _run_main(rs, started, max_degree, allow_large) -> VerificationReport:
+def _run_main(rs, report, max_degree) -> None:
     from .osalgebra import check_dimension_identity, verify_main_conjecture
 
-    witnesses: List[str] = []
-    details: dict = {}
+    # the identity and the class-by-class check each give their own witness
     try:
-        identity = check_dimension_identity(rs)
-        details["identity_lhs"] = identity["lhs"]
+        report.details["identity_lhs"] = check_dimension_identity(rs)["lhs"]
     except CheckFailed as exc:
-        witnesses.append(str(exc))
-    try:
-        summary = verify_main_conjecture(rs)
-        details["classes"] = summary["classes"]
-        details["full_count"] = summary["f_count"]
-    except CheckFailed as exc:
-        witnesses.append(str(exc))
-    return _report("main", rs.label, started, witnesses, details)
+        report.witnesses.append(str(exc))
+    summary = verify_main_conjecture(rs)
+    report.details.update(classes=summary["classes"], full_count=summary["f_count"])
 
 
-def _run_b_lemmas(rs, started, max_degree, allow_large) -> VerificationReport:
+def _run_b_lemmas(rs, report, max_degree) -> None:
     if rs.family != "B":
-        return _not_applicable(
-            "b-lemmas", rs.label, started, "stated for the signed-permutation types B"
-        )
+        return _not_applicable(report, "stated for the signed-permutation types B")
     from .groups import check_B_lemma, generate_group
     from .osalgebra import check_B_gprime_lemma
 
-    witnesses: List[str] = []
-    details: dict = {}
-    try:
-        group = generate_group(rs)
-        summary = check_B_lemma(rs, group)
-        details["classes"] = summary["classes"]
-        gp = check_B_gprime_lemma(rs)
-        details["vanishing_checked"] = gp["vanishing_checked"]
-    except CheckFailed as exc:
-        witnesses.append(str(exc))
-    return _report("b-lemmas", rs.label, started, witnesses, details)
+    report.details["classes"] = check_B_lemma(rs, generate_group(rs))["classes"]
+    report.details["vanishing_checked"] = check_B_gprime_lemma(rs)["vanishing_checked"]
 
 
-def _run_gerst(rs, started, max_degree, allow_large) -> VerificationReport:
+def _run_gerst(rs, report, max_degree) -> None:
     from .symfunc import (
         ORACLE_MAX_N,
         calibrated_bundle,
@@ -316,45 +245,38 @@ def _run_gerst(rs, started, max_degree, allow_large) -> VerificationReport:
         verify_type_A_conjecture,
     )
 
-    witnesses: List[str] = []
-    details: dict = {"max_degree": max_degree}
-    try:
-        bundle = calibrated_bundle(max_degree + 2)
-        details["twist"] = bundle.twist
-        details["calibration_degrees"] = list(range(2, ORACLE_MAX_N + 1))
-        verify_first_derivative_identities(bundle, max_degree + 1)
-        verify_second_derivative_identity(bundle, max_degree)
-        for n in range(1, max_degree + 1):
-            expected = UniPoly.one()
-            for i in range(1, n):
-                expected = expected * UniPoly((1, -i))
-            got = class_value(bundle, (1,) * n)
-            if got != expected:
-                witnesses.append(
-                    f"identity class value in degree {n}: {got!r} != {expected!r}"
-                )
-        verify_type_A_conjecture(bundle, max_degree)
-        details["type_a_max_n"] = max_degree
-    except CheckFailed as exc:
-        witnesses.append(str(exc))
-    return _report("gerst", rs.label, started, witnesses, details)
+    details = report.details
+    details["max_degree"] = max_degree
+    bundle = calibrated_bundle(max_degree + 2)
+    details["twist"] = bundle.twist
+    details["calibration_degrees"] = list(range(2, ORACLE_MAX_N + 1))
+    verify_first_derivative_identities(bundle, max_degree + 1)
+    verify_second_derivative_identity(bundle, max_degree)
+    for n in range(1, max_degree + 1):
+        expected = UniPoly.one()
+        for i in range(1, n):
+            expected = expected * UniPoly((1, -i))
+        got = class_value(bundle, (1,) * n)
+        if got != expected:
+            report.witnesses.append(
+                f"identity class value in degree {n}: {got!r} != {expected!r}"
+            )
+    verify_type_A_conjecture(bundle, max_degree)
+    details["type_a_max_n"] = max_degree
 
 
-def _run_bonzero(rs, started, max_degree, allow_large) -> VerificationReport:
+def _run_bonzero(rs, report, max_degree) -> None:
     from .symfunc import calibrated_bundle, verify_bonzero
 
-    witnesses: List[str] = []
-    details: dict = {"max_degree": max_degree}
-    try:
-        bundle = calibrated_bundle(max_degree + 2)
-        summary = verify_bonzero(bundle, max_degree)
-        details["gerst_at_one_is_p1"] = summary["gerst_at_one_is_p1"]
-    except CheckFailed as exc:
-        witnesses.append(str(exc))
-    return _report("bonzero", rs.label, started, witnesses, details)
+    report.details["max_degree"] = max_degree
+    summary = verify_bonzero(calibrated_bundle(max_degree + 2), max_degree)
+    report.details["gerst_at_one_is_p1"] = summary["gerst_at_one_is_p1"]
 
 
-_RUNNERS: Dict[str, Callable] = {
+# The one ordered registry of checks.  A runner fills the report's details
+# as it goes, so a failing check keeps what it gathered, and appends the
+# witnesses it finds itself; run_check records a CheckFailed as the last one.
+_RUNNERS: Dict[str, Callable[..., None]] = {
     "formula": _run_formula,
     "antichain-lemmas": _run_antichain_lemmas,
     "p-mobius": _run_p_mobius,
@@ -364,3 +286,4 @@ _RUNNERS: Dict[str, Callable] = {
     "gerst": _run_gerst,
     "bonzero": _run_bonzero,
 }
+CHECK_NAMES = tuple(_RUNNERS)

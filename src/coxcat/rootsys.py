@@ -74,23 +74,6 @@ def _diagram_edges(family: str, n: int) -> list:
     raise UsageError(family)
 
 
-def _coxeter_matrix(family: str, n: int, edges: list) -> list:
-    m = [[2] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = 1
-    for (i, j) in edges:
-        m[i][j] = m[j][i] = 3
-    if family in ("B", "C"):
-        m[n - 2][n - 1] = m[n - 1][n - 2] = 4
-    elif family == "F":
-        m[1][2] = m[2][1] = 4
-    elif family == "G":
-        m[0][1] = m[1][0] = 6
-    elif family == "H":
-        m[0][1] = m[1][0] = 5
-    return m
-
-
 def _cartan_matrix(family: str, n: int, edges: list):
     """Rows pair against coroots: entry [i][j] is <alpha_j, alpha_i-dual>."""
     if family == "H":
@@ -144,7 +127,7 @@ class CartanDatum:
     family: str
     rank: int
     edges: tuple
-    coxeter_m: tuple
+    m: Optional[int]  # the dihedral order of I2(m), None for the other families
     cartan: Optional[tuple]
     iplus: frozenset
     iminus: frozenset
@@ -154,21 +137,18 @@ class CartanDatum:
 def _make_datum(label: str) -> CartanDatum:
     family, n, m = parse_label(label)
     if family == "I":
-        edges = ((0, 1),)
-        cox = ((1, m), (m, 1))
         return CartanDatum(
             label=f"I2({m})",
             family="I",
             rank=2,
-            edges=edges,
-            coxeter_m=cox,
+            edges=((0, 1),),
+            m=m,
             cartan=None,
             iplus=frozenset({0}),
             iminus=frozenset({1}),
             crystallographic=False,
         )
     edges = sorted(tuple(sorted(e)) for e in _diagram_edges(family, n))
-    cox = _coxeter_matrix(family, n, edges)
     cartan = _cartan_matrix(family, n, edges)
     plus, minus = _bipartition(n, edges)
     return CartanDatum(
@@ -176,7 +156,7 @@ def _make_datum(label: str) -> CartanDatum:
         family=family,
         rank=n,
         edges=tuple(edges),
-        coxeter_m=tuple(tuple(r) for r in cox),
+        m=None,
         cartan=tuple(tuple(r) for r in cartan),
         iplus=plus,
         iminus=minus,
@@ -237,11 +217,10 @@ class RootSystem:
         self.family = datum.family
         self.rank = datum.rank
         self.crystallographic = datum.crystallographic
+        self.m = datum.m
         if datum.family == "I":
-            self.m = datum.coxeter_m[0][1]
             self._build_dihedral()
         else:
-            self.m = None
             self._build_coordinates()
         self._validate()
 
