@@ -9,70 +9,40 @@ Submodules:
   osalgebra  graded arrangement characters and the reflection-count identity
   symfunc    operadic series as class values, power-sum plethysm
   cli        the coxcat command-line interface
+
+Importing the package loads no submodule.  Each exported name is imported
+from its submodule when it is first read (PEP 562), so a command-line call
+pays only for the modules its command runs.  No submodule imports the
+standard library's data classes either, which would pull `inspect` into
+every call.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (  # noqa: F401
-    CapacityExceeded,
-    CheckFailed,
-    CoxcatError,
-    InternalError,
-    UsageError,
-)
-from .exact import (  # noqa: F401
-    BiPoly,
-    GoldenNumber,
-    UniPoly,
-    bipoly_substitute,
-    partitions_of,
-    unipoly_divide_exact,
-)
-from .rootsys import RootSystem, build_root_system, reflection_of_root  # noqa: F401
-from .poset import (  # noqa: F401
-    AntichainTally,
-    RootPoset,
-    check_antichain_lemmas,
-    enumerate_antichains,
-    generalized_catalan,
-    h_polynomial,
-    narayana_polynomial,
-    p_polynomial_direct,
-    p_polynomial_mobius,
-)
-from .cluster import (  # noqa: F401
-    ClusterComplex,
-    compatibility_degree,
-    f_polynomial,
-    tau_map,
-    verify_hf_conjecture,
-)
-from .groups import (  # noqa: F401
-    ConjugacyClass,
-    GroupData,
-    check_B_lemma,
-    chi_R,
-    generate_group,
-    signed_cycle_type,
-)
-from .osalgebra import (  # noqa: F401
-    GradedCharacter,
-    check_B_gprime_lemma,
-    check_dihedral,
-    check_dimension_identity,
-    g_prime_character,
-    os_graded_character,
-    verify_main_conjecture,
-)
-from .symfunc import (  # noqa: F401
-    SeriesBundle,
-    SymFunc,
-    calibrate_sigma_t_lie,
-    calibrated_bundle,
-    chi_R_typeA,
-    plethysm,
-    verify_bonzero,
-    verify_second_derivative_identity,
-    verify_type_A_conjecture,
-)
-from .reports import VerificationReport, run_all_checks, run_check  # noqa: F401
+# exported names, space-separated, by the submodule that defines them
+_EXPORTS = {
+    "errors": "CapacityExceeded CheckFailed CoxcatError InternalError UsageError",
+    "exact": "BiPoly GoldenNumber UniPoly bipoly_substitute partitions_of unipoly_divide_exact",
+    "rootsys": "RootSystem build_root_system reflection_of_root",
+    "poset": "AntichainTally RootPoset check_antichain_lemmas enumerate_antichains "
+    "generalized_catalan h_polynomial narayana_polynomial p_polynomial_direct p_polynomial_mobius",
+    "cluster": "ClusterComplex compatibility_degree f_polynomial tau_map verify_hf_conjecture",
+    "groups": "ConjugacyClass GroupData check_B_lemma chi_R generate_group signed_cycle_type",
+    "osalgebra": "GradedCharacter check_B_gprime_lemma check_dihedral check_dimension_identity "
+    "g_prime_character os_graded_character verify_main_conjecture",
+    "symfunc": "SeriesBundle SymFunc calibrate_sigma_t_lie calibrated_bundle chi_R_typeA plethysm "
+    "verify_bonzero verify_second_derivative_identity verify_type_A_conjecture",
+    "reports": "VerificationReport run_all_checks run_check",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    # the value is returned, not stored here, so the package namespace never changes
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -6,6 +6,10 @@ and `verify`.  Exit code 0 means every requested check passed, 1 means a
 check ran and found a violation, 2 means the request itself was invalid
 (unknown label, unknown check, or a computation outside the documented
 capacity limits).
+
+Start-up is part of every call, so a command imports only the modules it
+runs: each `cmd_*` imports its own.  No coxcat module imports the standard
+library's data classes, which would pull `inspect` into every call.
 """
 
 from __future__ import annotations
@@ -16,16 +20,8 @@ import sys
 from typing import List
 
 from .errors import UsageError
-from .exact import format_rational
-from .groups import generate_group
-from .osalgebra import os_graded_character
-from .poset import enumerate_antichains
+from .exact import COMMAND_CACHES, centralizer_order, format_rational, partitions_of
 from .reports import CHECK_NAMES, jsonable, run_all_checks, run_check
-from .rootsys import build_root_system
-from .symfunc import calibrated_bundle
-
-# artefacts memoized per root system (or truncation) and shared between checks
-_SHARED_ARTEFACTS = (generate_group, os_graded_character, enumerate_antichains, calibrated_bundle)
 
 
 def _emit_json(payload) -> None:
@@ -35,6 +31,8 @@ def _emit_json(payload) -> None:
 
 
 def cmd_table(args) -> int:
+    from .rootsys import build_root_system
+
     rows = []
     for label in args.types:
         rs = build_root_system(label)
@@ -51,9 +49,10 @@ def cmd_table(args) -> int:
                 "match": report.passed,
             }
         )
+    passed = all(row["match"] for row in rows)
     if args.json:
         _emit_json({"rows": rows})
-        return 0
+        return 0 if passed else 1
     header = ("type", "n", "h", "|W|", "exponents", "f counted", "f formula", "match")
     table = [header]
     for row in rows:
@@ -72,10 +71,12 @@ def cmd_table(args) -> int:
     widths = [max(len(line[i]) for line in table) for i in range(len(header))]
     for line in table:
         print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
-    return 0 if all(row["match"] for row in rows) else 1
+    return 0 if passed else 1
 
 
 def cmd_roots(args) -> int:
+    from .rootsys import build_root_system
+
     rs = build_root_system(args.type)
     roots = []
     for j in range(rs.n_positive):
@@ -113,7 +114,13 @@ def cmd_roots(args) -> int:
 
 
 def cmd_antichains(args) -> int:
-    from .poset import h_polynomial, narayana_polynomial, p_polynomial_direct
+    from .poset import (
+        enumerate_antichains,
+        h_polynomial,
+        narayana_polynomial,
+        p_polynomial_direct,
+    )
+    from .rootsys import build_root_system
 
     rs = build_root_system(args.type)
     tally = enumerate_antichains(rs)
@@ -140,6 +147,7 @@ def cmd_antichains(args) -> int:
 
 def cmd_fpoly(args) -> int:
     from .cluster import ClusterComplex
+    from .rootsys import build_root_system
 
     rs = build_root_system(args.type)
     complex_ = ClusterComplex(rs, allow_large=args.allow_large)
@@ -163,7 +171,9 @@ def cmd_fpoly(args) -> int:
 
 
 def cmd_os_character(args) -> int:
-    from .osalgebra import g_prime_character
+    from .groups import generate_group
+    from .osalgebra import g_prime_character, os_graded_character
+    from .rootsys import build_root_system
 
     rs = build_root_system(args.type)
     group = generate_group(rs)
@@ -198,8 +208,7 @@ def cmd_os_character(args) -> int:
 
 
 def cmd_gerst(args) -> int:
-    from .exact import centralizer_order, partitions_of
-    from .symfunc import class_value
+    from .symfunc import calibrated_bundle, class_value
 
     max_degree = args.max_degree
     bundle = calibrated_bundle(max_degree + 2)
@@ -331,7 +340,7 @@ def main(argv: List[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # one command line builds its own artefacts, also when main runs twice in a process
-    for cached in _SHARED_ARTEFACTS:
+    for cached in COMMAND_CACHES:
         cached.cache_clear()
     try:
         return args.func(args)

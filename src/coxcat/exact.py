@@ -12,13 +12,26 @@ never leave the integers are multiplied as plain coefficient lists.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from math import comb
 from typing import Iterable, Iterator, List, Mapping, Sequence, Union
 
 from .errors import CheckFailed, InternalError
 
 Scalar = Union[int, Fraction]
+
+# The memo tables of the artefacts one command line shares between its
+# checks, registered where they are defined; the CLI clears them before each
+# command line.  The list keeps the lru_cache objects themselves, so clearing
+# works whatever later rebinds the module attributes.
+COMMAND_CACHES: List = []
+
+
+def command_cache(fn):
+    """Memoize fn for one command line (an lru_cache the CLI clears)."""
+    cached = lru_cache(maxsize=None)(fn)
+    COMMAND_CACHES.append(cached)
+    return cached
 
 
 def format_rational(q: Fraction) -> str:

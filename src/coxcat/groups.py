@@ -10,11 +10,10 @@ before any element is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapacityExceeded, CheckFailed, InternalError
+from .exact import command_cache
 from .rootsys import RootSystem
 
 _ORDER_CAP = 10_000
@@ -33,8 +32,7 @@ def invert(g: tuple) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(NamedTuple):
     rep: tuple
     size: int
     label: Optional[object]
@@ -45,18 +43,22 @@ class ConjugacyClass:
         return f"{self.label} (size={self.size})"
 
 
-@dataclass(frozen=True, eq=False)  # hashed by identity: it keys the character cache
 class GroupData:
-    rs: RootSystem
-    elements: tuple
-    classes: Tuple[ConjugacyClass, ...]
+    """A generated group; hashed by identity, because it keys the character cache."""
+
+    __slots__ = ("rs", "elements", "classes")
+
+    def __init__(self, rs: RootSystem, elements: tuple, classes: Tuple[ConjugacyClass, ...]):
+        self.rs = rs
+        self.elements = elements
+        self.classes = classes
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
 
-@lru_cache(maxsize=None)
+@command_cache
 def generate_group(rs: RootSystem) -> GroupData:
     """Close the simple reflections under composition and split into classes.
 

@@ -35,13 +35,11 @@ which stay independent of the fixed-flat engine, and the tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapacityExceeded, CheckFailed, InternalError
-from .exact import UniPoly, unipoly_divide_exact
+from .exact import UniPoly, command_cache, unipoly_divide_exact
 from .groups import (
     ConjugacyClass,
     GroupData,
@@ -224,8 +222,7 @@ def hyperplane_map(rs: RootSystem, g: tuple) -> tuple:
     return tuple(g[x] if g[x] < N else g[x] - N for x in range(N))
 
 
-@dataclass(frozen=True)
-class GradedCharacter:
+class GradedCharacter(NamedTuple):
     rs: RootSystem
     classes: Tuple[ConjugacyClass, ...]
     chars: Tuple[UniPoly, ...]
@@ -274,8 +271,7 @@ def _image(bits: Sequence[int], mask: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class FlatLattice:
+class FlatLattice(NamedTuple):
     """Flats as hyperplane bitmasks, sorted by rank; lower[i] is the bitmask
     of the indices of the flats contained in flat i, itself included."""
 
@@ -352,7 +348,7 @@ def _checked_character(rs: RootSystem, group: GroupData, chars, dims) -> GradedC
     return gc
 
 
-@lru_cache(maxsize=None)
+@command_cache
 def os_graded_character(rs: RootSystem, group: GroupData) -> GradedCharacter:
     """Per-class graded character chi(g)(t) by Moebius numbers of the fixed flats.
 

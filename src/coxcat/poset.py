@@ -14,14 +14,13 @@ refused beyond a budget on Cat(W), the number of antichains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from . import kernels
 from .errors import CapacityExceeded, CheckFailed, InternalError, UsageError
-from .exact import BiPoly, int_poly_mul
+from .exact import BiPoly, command_cache, int_poly_mul
 from .rootsys import RootSystem
 
 # Both antichains and clusters number Cat(W).  Every exceptional type fits
@@ -96,8 +95,7 @@ def _upper_covers(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AntichainTally:
+class AntichainTally(NamedTuple):
     """Antichain counts keyed by (cardinality, simple members, edge mask)."""
 
     counts: tuple  # sorted ((k, l, edge_mask), count) pairs
@@ -147,7 +145,7 @@ class AntichainTally:
         return out
 
 
-@lru_cache(maxsize=None)
+@command_cache
 def enumerate_antichains(
     rs: RootSystem, nodes: Optional[frozenset] = None
 ) -> AntichainTally:

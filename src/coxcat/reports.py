@@ -11,9 +11,8 @@ written to stdout, so output stays byte-identical across runs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from .errors import CapacityExceeded, CheckFailed
 from .exact import BiPoly, UniPoly, format_rational
@@ -62,13 +61,20 @@ def _key_str(key) -> str:
     return str(key)
 
 
-@dataclass
 class VerificationReport:
-    check: str
-    type_label: str
-    witnesses: List[str] = field(default_factory=list)
-    ms: float = 0.0
-    details: Dict[str, object] = field(default_factory=dict)
+    def __init__(
+        self,
+        check: str,
+        type_label: str,
+        witnesses: Optional[List[str]] = None,
+        ms: float = 0.0,
+        details: Optional[Dict[str, object]] = None,
+    ):
+        self.check = check
+        self.type_label = type_label
+        self.witnesses = [] if witnesses is None else witnesses
+        self.ms = ms
+        self.details = {} if details is None else details
 
     @property
     def passed(self) -> bool:

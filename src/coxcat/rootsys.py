@@ -17,10 +17,9 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import InternalError, UsageError
 from .exact import GoldenNumber, PHI, conjugate_partition
@@ -121,8 +120,7 @@ def _bipartition(n: int, edges: list) -> Tuple[frozenset, frozenset]:
     return plus, minus
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(NamedTuple):
     label: str
     family: str
     rank: int

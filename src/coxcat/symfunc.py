@@ -21,14 +21,13 @@ plethysm at the oracle degrees n <= 4 on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import CheckFailed, InternalError
-from .exact import UniPoly, centralizer_order, int_poly_mul, partitions_of
+from .exact import UniPoly, centralizer_order, command_cache, int_poly_mul, partitions_of
 
 PartitionKey = Tuple[int, ...]
 IntPoly = Tuple[int, ...]  # integer coefficients of 1, t, t^2, ...
@@ -290,8 +289,7 @@ def characteristic_map(values: ClassValues, truncation: int) -> SymFunc:
     )
 
 
-@dataclass(frozen=True)
-class SeriesBundle:
+class SeriesBundle(NamedTuple):
     """The calibrated series at one truncation degree, as class values on
     every partition of degree 1 .. truncation (a missing class is 0)."""
 
@@ -376,7 +374,7 @@ def calibrate_sigma_t_lie(oracle_max_n: int = ORACLE_MAX_N) -> dict:
     return {"twist": twist, "degrees": degrees, "detail": detail}
 
 
-@lru_cache(maxsize=None)
+@command_cache
 def calibrated_bundle(truncation: int = 7) -> SeriesBundle:
     return make_bundle(truncation, calibrate_sigma_t_lie()["twist"])
 

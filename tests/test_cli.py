@@ -1,6 +1,8 @@
 """Command-line interface: output shape, exit codes, and determinism."""
 
+import functools
 import json
+import sys
 
 import pytest
 
@@ -312,3 +314,31 @@ def test_no_command_ends_in_a_traceback(capsys, command, label):
     assert code in (0, 2), (command, label, code)
     if code == 2:
         assert err.startswith("coxcat: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["plain", "wrapped"])
+def test_each_command_line_builds_its_own_group(capsys, monkeypatch, wrapped):
+    import coxcat.groups
+    from coxcat.rootsys import build_root_system
+
+    original = coxcat.groups.generate_group
+    calls = []
+    if wrapped:
+        # rebind it the way a tracer does: a wrapper without cache_clear,
+        # wherever a coxcat module bound the cached function
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("coxcat") and vars(module).get("generate_group") is original:
+                monkeypatch.setattr(module, "generate_group", wrapper)
+    built = []
+    for _ in range(2):
+        assert run_cli(capsys, "verify", "main", "A3", "--json")[0] == 0
+        # cache_clear also resets the statistics: one miss is this call's own build
+        assert original.cache_info().misses == 1
+        built.append(original(build_root_system("A3")))
+    assert built[0] is not built[1]
+    assert bool(calls) == wrapped

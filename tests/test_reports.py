@@ -169,8 +169,9 @@ def test_table_prints_a_mismatch_and_exits_one(capsys, monkeypatch):
         "B3    3  6  48   1,3,5      3          3/1        ok\n",
         "",
     )
-    _, out, _ = run_cli(capsys, "table", "A3", "B3", "--json")
+    code, out, _ = run_cli(capsys, "table", "A3", "B3", "--json")
     assert [row["match"] for row in json.loads(out)["rows"]] == [False, True]
+    assert code == 1
 
 
 @pytest.mark.parametrize("argv", [("verify", "hf", "E7"), ("verify", "all", "A11")])

@@ -1,6 +1,5 @@
 """Power-sum symmetric functions, plethysm, and the graded Lie/Gerst series."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -386,7 +385,7 @@ def _shifted_gerst(monkeypatch):
 
     def corrupted(truncation, twist):
         bundle = build(truncation, twist)
-        return dataclasses.replace(bundle, gerst=with_added(bundle.gerst, (3,), (0, 3)))
+        return bundle._replace(gerst=with_added(bundle.gerst, (3,), (0, 3)))
 
     monkeypatch.setattr(symfunc, "make_bundle", corrupted)
 
@@ -527,7 +526,7 @@ def test_one_corrupted_class_value_trips_each_check(check, series, lam, delta, m
     bundle = calibrated_bundle(6)
     check(bundle, 4)
     corrupted = with_added(getattr(bundle, series), lam, delta)
-    broken = dataclasses.replace(bundle, **{series: corrupted})
+    broken = bundle._replace(**{series: corrupted})
     with pytest.raises(CheckFailed, match=message):
         check(broken, 4)
 
