@@ -5,7 +5,7 @@ output: `table`, `roots`, `antichains`, `fpoly`, `os-character`, `gerst`,
 and `verify`.  Exit code 0 means every requested check passed, 1 means a
 check ran and found a violation, 2 means the request itself was invalid
 (unknown label, unknown check, or a computation outside the documented
-capacity limits).
+capacity limits), and 141 means the reader of stdout closed it early.
 
 Start-up is part of every call, so a command imports only the modules it
 runs: each `cmd_*` imports its own.  No coxcat module imports the standard
@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from fractions import Fraction
 from typing import List
 
 from .errors import UsageError
@@ -186,7 +188,8 @@ def cmd_os_character(args) -> int:
                 "class": cls.describe(),
                 "size": cls.size,
                 "character": poly,
-                "g_prime": val,
+                # a Fraction, so the JSON prints it "num/den" as the text does
+                "g_prime": Fraction(val),
             }
         )
     if args.json:
@@ -343,10 +346,17 @@ def main(argv: List[str] | None = None) -> int:
     for cached in COMMAND_CACHES:
         cached.cache_clear()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except UsageError as exc:
         print(f"coxcat: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed the pipe (`coxcat ... | head`), which is no violation: exit
+        # 128 + SIGPIPE as shells do, with fd 1 on devnull so the exit-time flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

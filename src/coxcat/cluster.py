@@ -183,7 +183,7 @@ def verify_hf_conjecture(rs: RootSystem) -> dict:
     if transformed != h_poly:
         diff = transformed - h_poly
         raise CheckFailed(
-            f"{rs.label}: H != transformed F; difference terms {diff.sorted_terms()}"
+            f"{rs.label}: H != transformed F; difference terms {diff!r}"
         )
     clusters = complex_.maximal_face_count()
     expected = (generalized_catalan(rs), rs.rank)

@@ -1,20 +1,21 @@
 """Exact scalar and polynomial arithmetic.
 
-Scalars are either `fractions.Fraction` or `GoldenNumber` (elements of the
-ring Z[phi], phi**2 = phi + 1, which holds the root coordinates of the
-non-crystallographic types H3 and H4).  Polynomials come in two flavours:
-`UniPoly` (one variable t, dense coefficient tuple) and `BiPoly` (two
-variables x, y, sparse term dict).  Everything is immutable and hashable, so
-values can be shared freely across threads and memo tables.  Counts that
-never leave the integers are multiplied as plain coefficient lists.
+Scalars are `int`, `fractions.Fraction` for true rationals, or `GoldenNumber`
+(the ring Z[phi], phi**2 = phi + 1, of the H3 and H4 root coordinates).
+Polynomials, `UniPoly` (in t, dense) and `BiPoly` (in x, y, sparse), keep
+the scalars they are given, so counts and characters stay `int`.
+Everything is immutable and hashable, so values can be shared freely across
+threads and memo tables.  Counts that never leave the integers are
+multiplied as plain coefficient lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, total_ordering
+from itertools import accumulate
 from math import comb
-from typing import Iterable, Iterator, List, Mapping, Sequence, Union
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Union
 
 from .errors import CheckFailed, InternalError
 
@@ -145,12 +146,12 @@ PHI = GoldenNumber(0, 1)
 
 
 class UniPoly:
-    """Dense polynomial in t with Fraction coefficients, trailing zeros stripped."""
+    """Dense polynomial in t, coefficients kept as given, trailing zeros stripped."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -178,10 +179,10 @@ class UniPoly:
         """Degree, with the zero polynomial assigned -1."""
         return len(self.coeffs) - 1
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> Scalar:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -218,7 +219,7 @@ class UniPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -239,7 +240,7 @@ class UniPoly:
 
     def __call__(self, value):
         """Evaluate at a scalar by Horner's rule."""
-        acc = Fraction(0) if isinstance(value, (int, Fraction)) else value * 0
+        acc = value * 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
@@ -248,7 +249,7 @@ class UniPoly:
         """Substitute t -> t**d."""
         if d == 1 or self.is_zero():
             return self
-        out = [Fraction(0)] * (self.degree * d + 1)
+        out = [0] * (self.degree * d + 1)
         for k, c in enumerate(self.coeffs):
             out[k * d] = c
         return UniPoly(out)
@@ -288,12 +289,12 @@ def unipoly_divide_exact(p: UniPoly, q: UniPoly) -> UniPoly:
     lead = qc[-1]
     if len(rem) - 1 < dq:
         raise CheckFailed(f"{p!r} is not divisible by {q!r}")
-    quot = [Fraction(0)] * (len(rem) - dq)
+    quot = [0] * (len(rem) - dq)
     for k in range(len(rem) - 1, dq - 1, -1):
         c = rem[k]
         if c == 0:
             continue
-        f = c / lead
+        f = Fraction(c) / lead
         quot[k - dq] = f
         for j in range(dq + 1):
             rem[k - dq + j] -= f * qc[j]
@@ -302,8 +303,18 @@ def unipoly_divide_exact(p: UniPoly, q: UniPoly) -> UniPoly:
     return UniPoly(quot)
 
 
+def divide_one_minus_t(coeffs: Sequence[Scalar]) -> Optional[tuple]:
+    """p / (1-t) from p's coefficients (constant first), or None if 1-t does
+    not divide p: p = (1-t) q gives q_k = p_0 + ... + p_k, and the last
+    running sum, p(1), must be 0."""
+    sums = tuple(accumulate(coeffs))
+    if sums and sums[-1]:
+        return None
+    return sums[:-1]
+
+
 class BiPoly:
-    """Sparse polynomial in x, y: dict (xdeg, ydeg) -> Fraction, zeros dropped."""
+    """Sparse polynomial in x, y: dict (xdeg, ydeg) -> scalar as given, zeros dropped."""
 
     __slots__ = ("terms",)
 
@@ -311,7 +322,6 @@ class BiPoly:
         clean = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (k, l), c in items:
-            c = Fraction(c)
             if c:
                 clean[(int(k), int(l))] = c
         object.__setattr__(self, "terms", dict(clean))
@@ -334,8 +344,8 @@ class BiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, k: int, l: int = 0) -> Fraction:
-        return self.terms.get((k, l), Fraction(0))
+    def coefficient(self, k: int, l: int = 0) -> Scalar:
+        return self.terms.get((k, l), 0)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -344,7 +354,7 @@ class BiPoly:
             return NotImplemented
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
         return BiPoly(out)
 
     __radd__ = __add__
@@ -368,7 +378,7 @@ class BiPoly:
         for (k1, l1), c1 in self.terms.items():
             for (k2, l2), c2 in other.terms.items():
                 key = (k1 + k2, l1 + l2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return BiPoly(out)
 
     __rmul__ = __mul__
@@ -381,8 +391,8 @@ class BiPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def evaluate(self, x: Fraction, y: Fraction) -> Fraction:
-        total = Fraction(0)
+    def evaluate(self, x: Scalar, y: Scalar) -> Scalar:
+        total = 0
         for (k, l), c in self.terms.items():
             total += c * x ** k * y ** l
         return total

@@ -35,11 +35,10 @@ which stay independent of the fixed-flat engine, and the tests.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapacityExceeded, CheckFailed, InternalError
-from .exact import UniPoly, command_cache, unipoly_divide_exact
+from .exact import UniPoly, command_cache, divide_one_minus_t
 from .groups import (
     ConjugacyClass,
     GroupData,
@@ -240,7 +239,7 @@ def build_os_algebra(rs: RootSystem) -> OSAlgebra:
     if rs.n_positive > _MAX_HYPERPLANES:
         raise CapacityExceeded(f"{rs.label}: needs |hyperplanes| <= {_MAX_HYPERPLANES}")
     algebra = OSAlgebra(_hyperplane_matroid(rs), rs.n_positive, rs.rank)
-    expected = _elementary_symmetric(rs.exponents)
+    expected = tuple(abs(c) for c in identity_character(rs).coeffs)
     if algebra.dims != expected:
         raise InternalError(
             f"{rs.label}: NBC dimensions {algebra.dims} != e_k values {expected}"
@@ -248,11 +247,12 @@ def build_os_algebra(rs: RootSystem) -> OSAlgebra:
     return algebra
 
 
-def _elementary_symmetric(values: Sequence[int]) -> tuple:
-    coeffs = [1]
-    for v in values:
-        coeffs = [a + v * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return tuple(coeffs)
+def identity_character(rs: RootSystem) -> UniPoly:
+    """The identity's graded character prod (1 - e_i t); its t^k coefficient is (-1)^k dim OS_k."""
+    out = UniPoly.one()
+    for e in rs.exponents:
+        out = out * UniPoly((1, -e))
+    return out
 
 
 def _indices(mask: int):
@@ -334,13 +334,12 @@ def flat_lattice(rs: RootSystem) -> FlatLattice:
     )
 
 
-def _checked_character(rs: RootSystem, group: GroupData, chars, dims) -> GradedCharacter:
+def _checked_character(rs: RootSystem, group: GroupData, chars) -> GradedCharacter:
     """The class characters, once the identity's is prod (1 - e_i t)."""
+    expected = identity_character(rs)
+    dims = tuple(abs(c) for c in expected.coeffs)
     gc = GradedCharacter(rs=rs, classes=group.classes, chars=tuple(chars), dims=dims)
     identity_char = gc.chars[gc.identity_index()]
-    expected = UniPoly.one()
-    for e in rs.exponents:
-        expected = expected * UniPoly((1, -e))
     if identity_char != expected:
         raise InternalError(
             f"{rs.label}: identity character {identity_char!r} != {expected!r}"
@@ -356,7 +355,7 @@ def os_graded_character(rs: RootSystem, group: GroupData) -> GradedCharacter:
     """
     lattice = flat_lattice(rs)
     chars = [lattice.character(hyperplane_map(rs, cls.rep)) for cls in group.classes]
-    return _checked_character(rs, group, chars, _elementary_symmetric(rs.exponents))
+    return _checked_character(rs, group, chars)
 
 
 def nbc_graded_character(rs: RootSystem, group: GroupData) -> GradedCharacter:
@@ -368,34 +367,32 @@ def nbc_graded_character(rs: RootSystem, group: GroupData) -> GradedCharacter:
         chars.append(
             UniPoly([(-1) ** k * algebra.degree_trace(hmap, k) for k in range(rs.rank + 1)])
         )
-    return _checked_character(rs, group, chars, algebra.dims)
+    # build_os_algebra has checked algebra.dims against the identity character
+    return _checked_character(rs, group, chars)
 
 
-def g_prime_character(gc: GradedCharacter) -> List[Fraction]:
-    """chi_{G'}(C): divide each class character by (1-t), evaluate at t=1."""
-    one_minus_t = UniPoly((1, -1))
-    out = []
-    for cls, poly in zip(gc.classes, gc.chars):
-        try:
-            quotient = unipoly_divide_exact(poly, one_minus_t)
-        except CheckFailed as exc:
-            raise CheckFailed(
-                f"{gc.rs.label} class {cls.describe()}: {poly!r} not divisible by 1-t"
-            ) from exc
-        out.append(quotient(Fraction(1)))
-    return out
+def _quotient(gc: GradedCharacter, index: int) -> tuple:
+    """Coefficients of chi/(1-t) for one class; CheckFailed if 1-t does not divide chi."""
+    quotient = divide_one_minus_t(gc.chars[index].coeffs)
+    if quotient is None:
+        cls, poly = gc.classes[index].describe(), gc.chars[index]
+        raise CheckFailed(f"{gc.rs.label} class {cls}: {poly!r} not divisible by 1-t")
+    return quotient
 
 
-def quotient_traces(gc: GradedCharacter, index: int) -> List[Fraction]:
+def g_prime_character(gc: GradedCharacter) -> List[int]:
+    """chi_{G'}(C): the t = 1 value of each integer class character over 1 - t."""
+    return [sum(_quotient(gc, index)) for index in range(len(gc.chars))]
+
+
+def quotient_traces(gc: GradedCharacter, index: int) -> List[int]:
     """Degree-by-degree traces on the (1-t)-quotient for one class.
 
     With the alternating character convention, the degree-k trace is
     (-1)^k times the t^k coefficient of chi/(1-t).
     """
-    quotient = unipoly_divide_exact(gc.chars[index], UniPoly((1, -1)))
-    return [
-        (-1) ** k * quotient.coefficient(k) for k in range(gc.rs.rank + 1)
-    ]
+    quotient = UniPoly(_quotient(gc, index))
+    return [(-1) ** k * quotient.coefficient(k) for k in range(gc.rs.rank + 1)]
 
 
 def verify_main_conjecture(rs: RootSystem) -> dict:
@@ -406,7 +403,7 @@ def verify_main_conjecture(rs: RootSystem) -> dict:
 
 
 def _check_main_classes(
-    rs: RootSystem, group: GroupData, chi_r: Sequence[int], chi_gp: Sequence[Fraction]
+    rs: RootSystem, group: GroupData, chi_r: Sequence[int], chi_gp: Sequence[int]
 ) -> dict:
     """The class-by-class loop of verify_main_conjecture, on values already built."""
     f_count = rs.full_reflection_count()
@@ -446,7 +443,6 @@ def check_B_gprime_lemma(rs: RootSystem) -> dict:
     gc = os_graded_character(rs, group)
     chi_gp = g_prime_character(gc)
     identity = rs.identity_table()
-    one_minus_t_sq = UniPoly((1, -1)) * UniPoly((1, -1))
     checked = 0
     for cls, poly, gp_val in zip(group.classes, gc.chars, chi_gp):
         if cls.rep == identity:
@@ -459,12 +455,11 @@ def check_B_gprime_lemma(rs: RootSystem) -> dict:
             checked += 1
         positive, _ = cls.label
         if 2 in positive:
-            try:
-                unipoly_divide_exact(poly, one_minus_t_sq)
-            except CheckFailed as exc:
+            # g_prime_character has already divided poly by 1 - t once
+            if divide_one_minus_t(divide_one_minus_t(poly.coeffs)) is None:
                 raise CheckFailed(
                     f"{rs.label} class {cls.label}: {poly!r} not divisible by (1-t)^2"
-                ) from exc
+                )
     return {"classes": len(group.classes), "vanishing_checked": checked}
 
 

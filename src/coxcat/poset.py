@@ -306,7 +306,8 @@ def check_antichain_lemmas(rs: RootSystem) -> dict:
         "total": tally.total,
         "narayana": n_poly,
         "p_direct": p_direct,
-        "p_top": p_direct.coefficient(n - 1, 0),
+        # a Fraction, so reports print it as "f/1" like the formula value
+        "p_top": Fraction(p_direct.coefficient(n - 1, 0)),
         "full_count": f_count,
     }
 

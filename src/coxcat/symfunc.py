@@ -24,10 +24,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .errors import CheckFailed, InternalError
-from .exact import UniPoly, centralizer_order, command_cache, int_poly_mul, partitions_of
+from .exact import (
+    UniPoly, centralizer_order, command_cache, divide_one_minus_t, int_poly_mul, partitions_of
+)
 
 PartitionKey = Tuple[int, ...]
 IntPoly = Tuple[int, ...]  # integer coefficients of 1, t, t^2, ...
@@ -322,7 +324,6 @@ def _symmetric_group_oracle(n: int) -> ClassValues:
 
     rs = build_root_system(f"A{n - 1}")
     gc = nbc_graded_character(rs, generate_group(rs))
-    # the traces are integers held as Fractions, which compare equal to ints
     values = {cls.label: poly.coeffs for cls, poly in zip(gc.classes, gc.chars)}
     if len(values) != len(gc.classes):
         raise InternalError("duplicate class labels in the S_n oracle")
@@ -403,17 +404,6 @@ def _inverse_power(k: int, lam: PartitionKey) -> IntPoly:
     return (0,) * j + ((-1) ** j * factorial(j + k - 1) // factorial(k - 1),)
 
 
-def _reduced_at_one(poly: IntPoly) -> Optional[int]:
-    """(poly / (1-t)) at t = 1, or None when 1 - t does not divide poly.
-
-    1 - t divides poly exactly when poly(1) = 0; then poly = (1-t) q gives
-    q(1) = -poly'(1).
-    """
-    if sum(poly):
-        return None
-    return -sum(i * c for i, c in enumerate(poly))
-
-
 def _require_equal(what: str, lhs: Callable, rhs: Callable, max_degree: int) -> None:
     """Raise CheckFailed at the first class of degree <= max_degree on which
     the class values lhs(lam) and rhs(lam) differ."""
@@ -467,12 +457,12 @@ def verify_bonzero(bundle: SeriesBundle, max_degree: int) -> dict:
     second = _d_dp1(bundle.gerst, 2)
     at_one: Dict[PartitionKey, int] = {}
     for lam in _classes(bundle.truncation - 2):
-        value = _reduced_at_one(second(lam))
-        if value is None:
+        quotient = divide_one_minus_t(second(lam))
+        if quotient is None:
             raise CheckFailed(
                 f"d^2 Gerst on class {lam} is {second(lam)}, not divisible by 1-t"
             )
-        at_one[lam] = value
+        at_one[lam] = sum(quotient)
     _require_equal(
         "value at t=1",
         lambda lam: at_one.get(lam, 0),
@@ -503,10 +493,10 @@ def verify_type_A_conjecture(bundle: SeriesBundle, max_n: int) -> dict:
     for n in range(2, max_n + 1):
         for lam in partitions_of(n):
             chi = bundle.gerst.get(lam, ())
-            gp = _reduced_at_one(chi)
-            if gp is None:
+            quotient = divide_one_minus_t(chi)
+            if quotient is None:
                 raise CheckFailed(f"S_{n} class {lam}: chi = {chi} is not divisible by 1-t")
-            product = chi_R_typeA(lam) * gp
+            product = chi_R_typeA(lam) * sum(quotient)
             expected = (-1) ** n * factorial(n) if lam == (1,) * n else 0
             if product != expected:
                 raise CheckFailed(

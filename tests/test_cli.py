@@ -1,12 +1,18 @@
 """Command-line interface: output shape, exit codes, and determinism."""
 
 import functools
+import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from coxcat.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -342,3 +348,59 @@ def test_each_command_line_builds_its_own_group(capsys, monkeypatch, wrapped):
         built.append(original(build_root_system("A3")))
     assert built[0] is not built[1]
     assert bool(calls) == wrapped
+
+
+@pytest.mark.parametrize("argv", [("table", "A3"), ("verify", "all", "B4", "--json")], ids=" ".join)
+def test_a_reader_that_closed_stdout_gets_exit_141_and_no_traceback(argv):
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "coxcat.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
+# sha256 of stdout and the exit code of each call.  Counts and characters are
+# held as int; these pin that each rational among them (the formula column,
+# p_top, chi_G') still prints as "num/den"
+GOLDEN = {
+    "os-character A3": ("76daeaf1c854794a21f98bdbfde6bedef4ee131665d1400668d40a9db3bdcc2b", 0),
+    "os-character A3 --json": ("ddfd734ccce7c843d036d046d063c00842f78748fc9f6e13f6752b27eccad577", 0),
+    "os-character B4": ("32daedbbbd7eeba69bf9546fb69f672f8bd3be15168bc71accc1c613930cf07b", 0),
+    "os-character B4 --json": ("a9e46add0144f04f55e79e60741123467b11dc063b3e9309bd7afd0403b432be", 0),
+    "os-character H3": ("779d75b015515ebb9b267e8952e0272646f9432ce1954ca78fad62a011a42c68", 0),
+    "os-character H3 --json": ("715600881145dda084697de128f4766a2d5bf368142a655fc3e5d470ab15a7cc", 0),
+    "os-character I2(8)": ("9f4b36e31edb62e7b22fe21586a700f2b1a663ec3078c7b4d652d1785e7475ce", 0),
+    "os-character I2(8) --json": ("cf1cb281f7ad6715afa35da1dc73b12e254665bff793ea41d2dc89a5e0eb1031", 0),
+    "verify all A2": ("99149b608a99a419fd4e6bb64872ccf7a63fe86376771816c36f77749cda5876", 0),
+    "verify all A2 --json": ("88b734d4ee13548f3c6fcab3ae4b83d91eca0922ba92f94d4e1320c837ee153f", 0),
+    "verify all B3": ("dabbbc7e2ff8fd9f83cbf5cd7f18d6c397925f096540c9b188e71931968bbe07", 0),
+    "verify all B3 --json": ("e1e25da63453bdef97847ad4834075b4c2093d1c9557cebc778312b284ef0405", 0),
+    "verify all H3": ("3aaab0f8cc8728c4d922452af2c312780acbda3519c037f1a759fee363dd4d51", 0),
+    "verify all H3 --json": ("6f16fffa277bb073bd188b64e1808d6fb0706ac5e697e8674ef2217c76a2ced0", 0),
+    "antichains B4": ("9cd0a547d744efbc3619eadb1c08a0e789768ef7afdd6d993d5130f7b20bd514", 0),
+    "antichains B4 --json": ("2eed8d8bc8c9e5bc7e3640caeec4b018b13683d457a8a8c06b674b189f048a49", 0),
+    "fpoly B4": ("6f2923ee678ae182813f6fbf159ffa75bb4d1cf5c4977df5daa15df6fa87d454", 0),
+    "fpoly B4 --json": ("7233bad788b0fb508eb4c27031b0210a972a9607c499e8842d0bf9271d6ad99d", 0),
+    "antichains D5": ("993e3fdced035ecfab7a31b1a19283fe2b8644d5245bc2dad20578638d0258aa", 0),
+    "antichains D5 --json": ("129d577025684a9a9bb3140bbd49135ad330ef5a151ab8701cb9ae7df768787d", 0),
+    "fpoly D5": ("546f3833709a911cdfe7238f385a97e3e92ded5cd03a42dd3757a4c8d6eb7d95", 0),
+    "fpoly D5 --json": ("5c524945f7e50bfd969de03b14d7ae1aadf7ad7bb123051b0c555b71e7c7fef6", 0),
+    "table A3 B3 H3 I2(8)": ("486c4d7ee698472f5893cc6fd4d7d751ae841c93792dc34b7ba2df420bc1d1cd", 0),
+    "table A3 B3 H3 I2(8) --json": ("c8656267343dc1a361bcdc2bd608b6e90725f466985ee5cb1420d1a0df0cab17", 0),
+    "gerst --max-degree 4": ("13fe47ede09caa74771692c984ed0ac3079b39e3a2f99ee67826cc87776b1c95", 0),
+    "gerst --max-degree 4 --json": ("6c1eb077401cda59427326131eb26b296335597e0124744aa900556291a3676e", 0),
+}
+
+
+@pytest.mark.parametrize("call", GOLDEN)
+def test_output_matches_its_recorded_digest(capsys, call):
+    code, out, err = run_cli(capsys, *call.split())
+    assert (hashlib.sha256(out.encode()).hexdigest(), code, err) == (*GOLDEN[call], "")

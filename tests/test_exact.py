@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxcat.errors import CheckFailed, InternalError
 from coxcat.exact import (
@@ -14,6 +16,7 @@ from coxcat.exact import (
     bipoly_substitute,
     centralizer_order,
     conjugate_partition,
+    divide_one_minus_t,
     format_rational,
     partitions_of,
     unipoly_divide_exact,
@@ -193,3 +196,84 @@ class TestPartitions:
 def test_format_rational_always_slash():
     assert format_rational(Fraction(5)) == "5/1"
     assert format_rational(Fraction(-2, 6)) == "-1/3"
+
+
+# -- integer coefficients and the (1-t) quotient ------------------------------
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+int_coeffs = st.lists(st.integers(-60, 60), max_size=8)
+rational_coeffs = st.lists(
+    st.one_of(st.integers(-60, 60), st.fractions(max_denominator=9)), max_size=8
+)
+# k, l <= 3, so bipoly_substitute(f, 6) and reverse_x(6) accept every term
+int_bipolys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-60, 60), max_size=8
+).map(BiPoly)
+ONE_MINUS_T = UniPoly((1, -1))
+
+
+def _all_int(coeffs) -> bool:
+    return all(type(c) is int for c in coeffs)
+
+
+def _as_fractions(poly):
+    if isinstance(poly, UniPoly):
+        return UniPoly(Fraction(c) for c in poly.coeffs)
+    return BiPoly({key: Fraction(c) for key, c in poly.terms.items()})
+
+
+@PROPERTY
+@given(rational_coeffs)
+def test_divide_one_minus_t_undoes_multiplication_by_one_minus_t(q):
+    p = ONE_MINUS_T * UniPoly(q)
+    quotient = divide_one_minus_t(p.coeffs)
+    assert UniPoly(quotient) == UniPoly(q) == unipoly_divide_exact(p, ONE_MINUS_T)
+    if _all_int(q):
+        assert _all_int(quotient)
+
+
+@PROPERTY
+@given(rational_coeffs)
+def test_divide_one_minus_t_refuses_exactly_when_p_of_one_is_not_zero(coeffs):
+    quotient = divide_one_minus_t(coeffs)
+    assert (quotient is None) == (sum(coeffs) != 0)
+    if quotient is None:
+        with pytest.raises(CheckFailed, match="is not divisible by"):
+            unipoly_divide_exact(UniPoly(coeffs), ONE_MINUS_T)
+    else:
+        assert UniPoly(quotient) == unipoly_divide_exact(UniPoly(coeffs), ONE_MINUS_T)
+
+
+@PROPERTY
+@given(int_coeffs, int_coeffs)
+def test_integer_unipoly_arithmetic_matches_fractions_and_stays_int(a, b):
+    a, b = UniPoly(a), UniPoly(b)
+    fa, fb = _as_fractions(a), _as_fractions(b)
+    for got, want in [(a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb)]:
+        assert got == want
+        assert _all_int(got.coeffs)
+
+
+@PROPERTY
+@given(int_bipolys, int_bipolys)
+def test_integer_bipoly_arithmetic_matches_fractions_and_stays_int(f, g):
+    ff, fg = _as_fractions(f), _as_fractions(g)
+    pairs = [
+        (f + g, ff + fg),
+        (f - g, ff - fg),
+        (f * g, ff * fg),
+        (f.reverse_x(6), ff.reverse_x(6)),
+        (bipoly_substitute(f, 6), bipoly_substitute(ff, 6)),
+    ]
+    for got, want in pairs:
+        assert got == want
+        assert _all_int(got.terms.values())
+
+
+@PROPERTY
+@given(int_coeffs, int_coeffs.filter(any))
+def test_exact_division_of_integer_polynomials_returns_no_float(a, b):
+    a, b = UniPoly(a), UniPoly(b)
+    quotient = unipoly_divide_exact(a * b, b)
+    assert quotient == a
+    assert not any(isinstance(c, float) for c in quotient.coeffs)

@@ -524,3 +524,11 @@ def test_g_prime_rejects_non_divisible_input():
     broken = gc._replace(chars=(UniPoly((1, 1)),) * len(gc.chars))
     with pytest.raises(CheckFailed, match="not divisible by 1-t"):
         g_prime_character(broken)
+
+
+def test_quotient_traces_reject_non_divisible_input():
+    rs = build_root_system("A1")
+    gc = os_graded_character(rs, generate_group(rs))
+    broken = gc._replace(chars=(UniPoly((1, 1)),) * len(gc.chars))
+    with pytest.raises(CheckFailed, match=r"A1 class .*: 1 \+ t not divisible by 1-t"):
+        quotient_traces(broken, 0)

@@ -12,7 +12,7 @@ import pytest
 from coxcat import cluster, osalgebra, poset, reports, symfunc
 from coxcat.cli import main
 from coxcat.errors import CheckFailed
-from coxcat.exact import BiPoly
+from coxcat.exact import BiPoly, bipoly_substitute
 from coxcat.reports import run_all_checks
 
 
@@ -62,6 +62,15 @@ FAILURES = {
         "    witness: A3: injected H/F failure\n",
         {"check": "hf", "details": {}, "status": "fail", "type": "A3",
          "witnesses": ["A3: injected H/F failure"]},
+    ),
+    "hf-difference": (
+        "hf", "A3",
+        [(cluster, "bipoly_substitute",
+          lambda f, n: bipoly_substitute(f, n) + BiPoly({(1, 0): 3, (2, 1): -1}))],
+        "[FAIL] hf A3\n"
+        "    witness: A3: H != transformed F; difference terms 3*x - x^2y\n",
+        {"check": "hf", "details": {}, "status": "fail", "type": "A3",
+         "witnesses": ["A3: H != transformed F; difference terms 3*x - x^2y"]},
     ),
     "main-identity": (
         "main", "A3", [IDENTITY_FAILS],
