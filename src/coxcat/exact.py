@@ -238,13 +238,6 @@ class UniPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __call__(self, value):
-        """Evaluate at a scalar by Horner's rule."""
-        acc = value * 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
     def subs_t_power(self, d: int) -> "UniPoly":
         """Substitute t -> t**d."""
         if d == 1 or self.is_zero():
@@ -390,12 +383,6 @@ class BiPoly:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def evaluate(self, x: Scalar, y: Scalar) -> Scalar:
-        total = 0
-        for (k, l), c in self.terms.items():
-            total += c * x ** k * y ** l
-        return total
 
     def reverse_x(self, n: int) -> "BiPoly":
         """Return x**n * P(1/x, y); requires every x-degree to be at most n."""

@@ -1,20 +1,22 @@
 """Brute-force reflection groups as permutations of the root indices.
 
 An element is the tuple g with g[x] = index of the image of root x, over
-all 2N roots (positives first, negative of positive j at N + j).  Groups
-are generated by closing the simple-reflection tables under composition;
-conjugacy classes by orbit partition under conjugation by the generators.
+all 2N roots (positives first, negative of positive j at N + j).  A group
+is the orbit of the identity under the simple reflections; conjugacy
+classes are found by orbit partition under conjugation by the generators,
+and class labels from the cycles, again orbits, of a (signed) permutation.
 A group with more than 256 roots or more than 10,000 elements is refused
 before any element is built.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapacityExceeded, CheckFailed, InternalError
 from .exact import command_cache
-from .rootsys import RootSystem
+from .rootsys import RootSystem, orbit, orbits
 
 _ORDER_CAP = 10_000
 _ROOT_CAP = 256  # roots a group element may permute
@@ -71,18 +73,7 @@ def generate_group(rs: RootSystem) -> GroupData:
     if rs.order > _ORDER_CAP:
         raise CapacityExceeded(f"{rs.label}: |W| = {rs.order} exceeds {_ORDER_CAP}")
     gens = rs.simple_tables
-    identity = rs.identity_table()
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = compose(s, g)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
+    seen = orbit([rs.identity_table()], lambda g: [compose(s, g) for s in gens])
     if len(seen) != rs.order:
         raise InternalError(
             f"{rs.label}: generated {len(seen)} elements, expected {rs.order}"
@@ -94,21 +85,11 @@ def generate_group(rs: RootSystem) -> GroupData:
 
 def _conjugacy_classes(rs: RootSystem, elements: tuple) -> tuple:
     gens = rs.simple_tables
-    remaining = set(elements)
-    classes = []
-    while remaining:
-        seed = min(remaining)
-        orbit = {seed}
-        stack = [seed]
-        while stack:
-            g = stack.pop()
-            for s in gens:
-                h = compose(s, compose(g, s))  # s g s^{-1}, s an involution
-                if h not in orbit:
-                    orbit.add(h)
-                    stack.append(h)
-        remaining -= orbit
-        classes.append((min(orbit), len(orbit)))
+    # s g s^{-1} = s g s, each generator an involution
+    classes = [
+        (cls[0], len(cls))
+        for cls in orbits(elements, lambda g: [compose(s, compose(g, s)) for s in gens])
+    ]
     classes.sort(key=lambda c: (c[1], c[0]))
     return tuple(
         ConjugacyClass(rep=rep, size=size, label=_class_label(rs, rep))
@@ -163,23 +144,17 @@ def permutation_of_letters(rs: RootSystem, g: tuple) -> tuple:
 
 def _cycle_type_a(rs: RootSystem, rep: tuple) -> tuple:
     perm = permutation_of_letters(rs, rep)
-    return _cycle_lengths(perm)
+    return _signed_cycles([(y, 1) for y in perm])[0]
 
 
-def _cycle_lengths(perm: tuple) -> tuple:
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+def _signed_cycles(images: Sequence[Tuple[int, int]]) -> Tuple[tuple, tuple]:
+    """Cycle lengths of x -> images[x][0], split by the product of the signs
+    images[x][1] around each cycle, each part longest first."""
+    positive, negative = [], []
+    for cycle in orbits(range(len(images)), lambda x: (images[x][0],)):
+        sign = math.prod(images[x][1] for x in cycle)
+        (positive if sign == 1 else negative).append(len(cycle))
+    return tuple(sorted(positive, reverse=True)), tuple(sorted(negative, reverse=True))
 
 
 def _coordinate_roots(rs: RootSystem) -> List[int]:
@@ -207,22 +182,7 @@ def signed_permutation(rs: RootSystem, g: tuple) -> List[Tuple[int, int]]:
 
 def signed_cycle_type(rs: RootSystem, g: tuple) -> Tuple[tuple, tuple]:
     """Cycle lengths split by the product of signs around each cycle."""
-    sp = signed_permutation(rs, g)
-    n = len(sp)
-    seen = [False] * n
-    positive, negative = [], []
-    for start in range(n):
-        if seen[start]:
-            continue
-        length, sign, x = 0, 1, start
-        while not seen[x]:
-            seen[x] = True
-            target, s = sp[x]
-            sign *= s
-            x = target
-            length += 1
-        (positive if sign == 1 else negative).append(length)
-    return tuple(sorted(positive, reverse=True)), tuple(sorted(negative, reverse=True))
+    return _signed_cycles(signed_permutation(rs, g))
 
 
 def has_positive_short_cycle(label: Tuple[tuple, tuple]) -> bool:

@@ -16,10 +16,11 @@ Moebius number of the g-fixed subposet (Baclawski-Bjorner 1979; Sundaram
 Flats are hyperplane bitmasks.  Every flat of a Coxeter arrangement is
 W-conjugate to a standard parabolic one (Steinberg 1964; Orlik-Solomon,
 "Coxeter arrangements", 1983): for J a subset of the simple roots, the
-roots whose support lies in J, of rank |J|.  Closing these masks under
-the simple reflections' hyperplane permutations gives every flat with
-its rank, with no linear algebra, so the Z[phi] types cost no more than
-the integer ones.
+roots whose support lies in J, of rank |J|.  The simple reflections'
+hyperplane permutations keep ranks, so the flats are closed rank by rank:
+one orbit of the rank-k parabolic masks is every flat of rank k.  No
+linear algebra is done, so the Z[phi] types cost no more than the
+integer ones.
 
 The no-broken-circuit (NBC) engine computes the same character from a
 presentation of the algebra.  It is read off one memoized rank oracle (a
@@ -46,7 +47,7 @@ from .groups import (
     generate_group,
     has_positive_short_cycle,
 )
-from .rootsys import RootSystem
+from .rootsys import RootSystem, orbit
 
 _MAX_HYPERPLANES = 25
 
@@ -297,24 +298,17 @@ class FlatLattice(NamedTuple):
 
 
 def flat_lattice(rs: RootSystem) -> FlatLattice:
-    """The standard parabolic flats closed under the simple reflections."""
+    """The standard parabolic flats closed under the simple reflections, rank by rank."""
+    gens = [[1 << y for y in hyperplane_map(rs, s)] for s in rs.simple_tables]
     rank_of: Dict[int, int] = {}
     for size in range(rs.rank + 1):
-        for J in itertools.combinations(range(rs.rank), size):
-            parabolic = frozenset(J)
-            mask = sum(1 << x for x, support in enumerate(rs.supports) if support <= parabolic)
+        parabolics = map(frozenset, itertools.combinations(range(rs.rank), size))
+        seeds = [
+            sum(1 << x for x, support in enumerate(rs.supports) if support <= J)
+            for J in parabolics
+        ]
+        for mask in orbit(seeds, lambda mask: [_image(bits, mask) for bits in gens]):
             rank_of[mask] = size
-    gens = [[1 << y for y in hyperplane_map(rs, s)] for s in rs.simple_tables]
-    frontier = list(rank_of)
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            for bits in gens:
-                image = _image(bits, mask)
-                if image not in rank_of:
-                    rank_of[image] = rank_of[mask]
-                    nxt.append(image)
-        frontier = nxt
     masks = sorted(rank_of, key=lambda mask: (rank_of[mask], mask))
     contains = [0] * rs.n_positive  # flats containing each hyperplane
     for i, mask in enumerate(masks):

@@ -7,9 +7,10 @@ Antichains are enumerated as cliques of the incomparability graph, tallied
 by cardinality, number of simple-root members, and the set of diagram edges
 covered by the union of the members' supports.  Everything downstream (the
 Narayana, h- and full-support generating polynomials) is read off that
-tally; the inclusion-exclusion form of P multiplies integer coefficient
-lists and makes one polynomial at the end.  Antichain enumeration is
-refused beyond a budget on Cat(W), the number of antichains.
+tally; the inclusion-exclusion form of P splits each covered-edge set into
+diagram components (the orbits of its edges), multiplies their integer
+coefficient lists and makes one polynomial at the end.  Antichain
+enumeration is refused beyond a budget on Cat(W), the number of antichains.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 from . import kernels
 from .errors import CapacityExceeded, CheckFailed, InternalError, UsageError
 from .exact import BiPoly, command_cache, int_poly_mul
-from .rootsys import RootSystem
+from .rootsys import RootSystem, orbits
 
 # Both antichains and clusters number Cat(W).  Every exceptional type fits
 # (Cat(E8) = 25,080), and so do A11, B10, C10 and D10; the largest admitted,
@@ -224,22 +225,12 @@ def p_polynomial_mobius(rs: RootSystem) -> BiPoly:
 
 
 def _components(n: int, edges: Sequence[tuple]) -> list:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    """The connected components of (range(n), edges), smallest node first."""
+    neighbours = [[] for _ in range(n)]
     for (a, b) in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: Dict[int, set] = {}
-    for i in range(n):
-        groups.setdefault(find(i), set()).add(i)
-    return [frozenset(g) for g in groups.values()]
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    return [frozenset(c) for c in orbits(range(n), neighbours.__getitem__)]
 
 
 def check_antichain_lemmas(rs: RootSystem) -> dict:

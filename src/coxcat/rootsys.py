@@ -12,6 +12,10 @@ structure downstream is deterministic.  Each simple reflection is stored as
 a permutation table of the root indices, and every other reflection is
 built from those tables by conjugation.  A RootSystem is immutable after
 construction and safe to share across threads.
+
+That closure is one `orbit` (all that moves reach from some seeds), and
+`orbits` splits a set into orbits; the group elements and classes, flats,
+diagram components and cycles of the other modules all come from these two.
 """
 
 from __future__ import annotations
@@ -99,23 +103,41 @@ def _cartan_matrix(family: str, n: int, edges: list):
     return a
 
 
+def orbit(seeds, moves) -> list:
+    """The seeds, once each, then all that repeated moves(x) reach, in first-reached order."""
+    reached = list(dict.fromkeys(seeds))
+    seen = set(reached)
+    for x in reached:
+        for y in moves(x):
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+    return reached
+
+
+def orbits(items, moves) -> list:
+    """Split items into orbits, smallest seed first; moves must be symmetric
+    (a group action or an undirected graph) and stay inside items."""
+    remaining = set(items)
+    out = []
+    for seed in sorted(remaining):
+        if seed in remaining:
+            out.append(orbit([seed], moves))
+            remaining.difference_update(out[-1])
+    return out
+
+
 def _bipartition(n: int, edges: list) -> Tuple[frozenset, frozenset]:
     """Two-colour the (tree) diagram, node 0 in the plus part."""
-    colour = {0: 0}
-    stack = [0]
     neighbours = {i: [] for i in range(n)}
     for (i, j) in edges:
         neighbours[i].append(j)
         neighbours[j].append(i)
-    while stack:
-        i = stack.pop()
-        for j in neighbours[i]:
-            if j not in colour:
-                colour[j] = 1 - colour[i]
-                stack.append(j)
-    if len(colour) != n:
+    # a tree reaches each node once, with one colour
+    coloured = orbit([(0, 0)], lambda node: [(j, 1 - node[1]) for j in neighbours[node[0]]])
+    if len(coloured) != n:
         raise InternalError("Coxeter diagram is not connected")
-    plus = frozenset(i for i, c in colour.items() if c == 0)
+    plus = frozenset(i for i, c in coloured if c == 0)
     minus = frozenset(range(n)) - plus
     return plus, minus
 
@@ -188,17 +210,15 @@ def _close_positive_roots(datum: CartanDatum) -> dict:
         coords = [zero] * n
         coords[i] = one
         simples.append(tuple(coords))
-    found = set(simples)
-    queue = list(simples)
     images = {}
-    while queue:
-        coords = queue.pop()
+
+    def moves(coords):
         row = tuple(_simple_image(datum.cartan, coords, i) for i in range(n))
         images[coords] = row
-        for image in row:
-            if image not in found and all(c >= 0 for c in image):
-                found.add(image)
-                queue.append(image)
+        # s_i moves only coordinate i, so only that one can turn negative
+        return [image for i, image in enumerate(row) if image[i] >= 0]
+
+    orbit(simples, moves)
     return images
 
 
@@ -312,18 +332,12 @@ class RootSystem:
                     raise InternalError(f"{self.label}: simple roots not first in order")
 
     def _support_connected(self, support: frozenset) -> bool:
-        if not support:
-            return False
-        seen = {min(support)}
-        stack = [min(support)]
-        while stack:
-            i = stack.pop()
-            for (a, b) in self.datum.edges:
-                for x, y in ((a, b), (b, a)):
-                    if x == i and y in support and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-        return seen == support
+        """One orbit along the diagram edges inside the support covers it."""
+        edges = [(a, b) for (a, b) in self.datum.edges if a in support and b in support]
+        reached = orbit(
+            sorted(support)[:1], lambda i: [b if a == i else a for (a, b) in edges if i in (a, b)]
+        )
+        return bool(support) and len(reached) == len(support)
 
     # -- basic data --------------------------------------------------------
 

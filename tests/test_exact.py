@@ -25,6 +25,19 @@ from coxcat.exact import (
 PHI = GoldenNumber(0, 1)
 
 
+def horner(poly, value):
+    """poly(value), for a UniPoly at a scalar."""
+    acc = value * 0
+    for c in reversed(poly.coeffs):
+        acc = acc * value + c
+    return acc
+
+
+def bipoly_at(f, x, y):
+    """f(x, y), for a BiPoly at two scalars, summed term by term."""
+    return sum(c * x ** k * y ** l for (k, l), c in f.terms.items())
+
+
 class TestGoldenNumber:
     def test_defining_relation(self):
         assert PHI * PHI == PHI + 1
@@ -92,8 +105,8 @@ class TestUniPoly:
         p = UniPoly((1, -3, 2))  # (1-t)(1-2t)
         q = UniPoly((1, -1)) * UniPoly((1, -2))
         assert p == q
-        assert p(Fraction(1)) == 0
-        assert p(Fraction(3)) == (1 - 3) * (1 - 6)
+        assert horner(p, Fraction(1)) == 0
+        assert horner(p, Fraction(3)) == (1 - 3) * (1 - 6)
 
     def test_exact_division(self):
         p = UniPoly((1, -3, 2))
@@ -160,10 +173,10 @@ class TestBiPoly:
                 y = Fraction(rng.randint(-7, 7), rng.randint(2, 9))
                 if x == 1:
                     continue
-                direct = g.evaluate(x, y)
+                direct = bipoly_at(g, x, y)
                 u = x / (1 - x)
                 v = x * y / (1 - x)
-                expected = (1 - x) ** n * f.evaluate(u, v)
+                expected = (1 - x) ** n * bipoly_at(f, u, v)
                 assert direct == expected
 
     def test_substitution_rejects_terms_beyond_degree(self):

@@ -1,5 +1,7 @@
-"""The package surface: lazy exports, the start-up import footprint, value types."""
+"""The package surface: lazy exports, the start-up import footprint, imports that
+are used, value types."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -142,3 +144,53 @@ def test_verification_reports_do_not_share_their_defaults():
     assert (c.check, c.type_label, c.witnesses, c.ms, c.details) == fields
     assert not c.passed
 
+
+# -- unused imports ----------------------------------------------------------
+
+
+def names(tree: ast.AST) -> set:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports (`__future__` aside) and never refers to.
+
+    A reference is a bare name, the base of an attribute, or a name inside
+    a quoted annotation such as `-> "UniPoly"`.
+    """
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = names(tree)
+    annotations = [a.annotation for a in ast.walk(tree) if isinstance(a, (ast.arg, ast.AnnAssign))]
+    annotations += [f.returns for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    for note in filter(None, annotations):
+        for c in ast.walk(note):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                used |= names(ast.parse(c.value, mode="eval"))
+    return sorted(imported - used)
+
+
+def test_the_unused_import_scan_sees_names_attributes_and_quoted_annotations():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path as osp\n"
+        "import re, sys\n"
+        "from typing import Dict, List\n"
+        "from . import kernels\n"
+        "def f(x: 'Dict[str, int]') -> 'List':\n"
+        "    return kernels.run(sys.argv)\n"
+    )
+    assert unused_imports(source) == ["os", "osp", "re"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in (SRC / "coxcat").glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_every_module_uses_every_name_it_imports(path):
+    assert unused_imports(path.read_text()) == []

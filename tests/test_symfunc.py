@@ -32,6 +32,14 @@ NVARS = 6
 HALF = UniPoly.constant(Fraction(1, 2))
 
 
+def horner(poly, value):
+    """poly(value), for a UniPoly at a scalar."""
+    acc = value * 0
+    for c in reversed(poly.coeffs):
+        acc = acc * value + c
+    return acc
+
+
 def p(k, n=7):
     """The power sum p_k at truncation n."""
     return SymFunc({(k,): UniPoly.one()}, n)
@@ -68,8 +76,8 @@ def expand_in_vars(f):
     """Image of a t-free SymFunc under p_k -> x_1^k + ... + x_6^k."""
     total = {}
     for lam, coeff in f.terms.items():
-        assert coeff == UniPoly.constant(coeff(Fraction(0)))
-        term = {(0,) * NVARS: coeff(Fraction(0))}
+        assert coeff == UniPoly.constant(horner(coeff, Fraction(0)))
+        term = {(0,) * NVARS: horner(coeff, Fraction(0))}
         for part in lam:
             term = poly_mul(term, power_sum_in_vars(part))
         for key, val in term.items():
@@ -99,7 +107,7 @@ def plethysm_oracle(f, g):
     letters = monomial_alphabet(expand_in_vars(g))
     total = {}
     for lam, coeff in f.terms.items():
-        term = {(0,) * NVARS: coeff(Fraction(0))}
+        term = {(0,) * NVARS: horner(coeff, Fraction(0))}
         for part in lam:
             term = poly_mul(term, power_sum_of_alphabet(part, letters))
         for key, val in term.items():
@@ -139,7 +147,7 @@ def graded_part(f, n):
 
 def evaluate_t(f, value):
     return SymFunc(
-        {lam: UniPoly.constant(c(Fraction(value))) for lam, c in f.terms.items()},
+        {lam: UniPoly.constant(horner(c, Fraction(value))) for lam, c in f.terms.items()},
         f.truncation,
     )
 
@@ -464,7 +472,7 @@ def test_bonzero():
     reduced = SymFunc(
         {
             lam: UniPoly.constant(
-                unipoly_divide_exact(coeff, UniPoly((1, -1)))(Fraction(1))
+                horner(unipoly_divide_exact(coeff, UniPoly((1, -1))), Fraction(1))
             )
             for lam, coeff in second.terms.items()
         },
