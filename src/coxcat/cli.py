@@ -173,13 +173,11 @@ def cmd_fpoly(args) -> int:
 
 
 def cmd_os_character(args) -> int:
-    from .groups import generate_group
     from .osalgebra import g_prime_character, os_graded_character
     from .rootsys import build_root_system
 
     rs = build_root_system(args.type)
-    group = generate_group(rs)
-    gc = os_graded_character(rs, group)
+    gc = os_graded_character(rs)
     gp = g_prime_character(gc)
     classes = []
     for cls, poly, val in zip(gc.classes, gc.chars, gp):

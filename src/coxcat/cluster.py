@@ -155,10 +155,7 @@ class ClusterComplex:
 
     def f_tally(self) -> BiPoly:
         """F(x, y): face counts by x^(#positive vertices) y^(#negative simples)."""
-        out: dict = {}
-        for (k, l, _), c in self._faces.items():
-            out[(k, l)] = out.get((k, l), 0) + c
-        return BiPoly(out)
+        return BiPoly(((k, l), c) for (k, l, _), c in self._faces.items())
 
     def maximal_face_count(self) -> Tuple[int, int]:
         """(number of maximal faces, minimum size among them)."""

@@ -307,17 +307,21 @@ def divide_one_minus_t(coeffs: Sequence[Scalar]) -> Optional[tuple]:
 
 
 class BiPoly:
-    """Sparse polynomial in x, y: dict (xdeg, ydeg) -> scalar as given, zeros dropped."""
+    """Sparse polynomial in x, y: dict (xdeg, ydeg) -> scalar as given, zeros dropped.
+
+    Built from a mapping or from ((xdeg, ydeg), scalar) pairs; the scalars of
+    repeated pairs are summed, so a polynomial can be read straight off a tally.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple, Scalar] = ()):
-        clean = {}
+    def __init__(self, terms: Mapping[tuple, Scalar] | Iterable[tuple] = ()):
+        clean: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (k, l), c in items:
-            if c:
-                clean[(int(k), int(l))] = c
-        object.__setattr__(self, "terms", dict(clean))
+            key = (int(k), int(l))
+            clean[key] = clean.get(key, 0) + c
+        object.__setattr__(self, "terms", {key: c for key, c in clean.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
@@ -345,10 +349,7 @@ class BiPoly:
             other = BiPoly.monomial(other, 0, 0)
         if not isinstance(other, BiPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return BiPoly(out)
+        return BiPoly([*self.terms.items(), *other.terms.items()])
 
     __radd__ = __add__
 
@@ -367,12 +368,11 @@ class BiPoly:
             return BiPoly({key: c * other for key, c in self.terms.items()})
         if not isinstance(other, BiPoly):
             return NotImplemented
-        out: dict = {}
-        for (k1, l1), c1 in self.terms.items():
-            for (k2, l2), c2 in other.terms.items():
-                key = (k1 + k2, l1 + l2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return BiPoly(out)
+        return BiPoly(
+            ((k1 + k2, l1 + l2), c1 * c2)
+            for (k1, l1), c1 in self.terms.items()
+            for (k2, l2), c2 in other.terms.items()
+        )
 
     __rmul__ = __mul__
 
@@ -427,17 +427,14 @@ def bipoly_substitute(f: BiPoly, n: int) -> BiPoly:
     Each term c*x^k*y^l maps to c * x^(k+l) * y^l * (1-x)^(n-k-l), so the
     result is again a polynomial provided k + l <= n for every term.
     """
-    out = BiPoly.zero()
+    terms: list = []
     for (k, l), c in f.terms.items():
         m = n - k - l
         if m < 0:
             raise InternalError(f"term x^{k} y^{l} exceeds the budget n={n}")
         # expand (1-x)^m by the binomial theorem
-        expansion = {
-            (k + l + j, l): c * ((-1) ** j) * comb(m, j) for j in range(m + 1)
-        }
-        out = out + BiPoly(expansion)
-    return out
+        terms.extend(((k + l + j, l), c * (-1) ** j * comb(m, j)) for j in range(m + 1))
+    return BiPoly(terms)
 
 
 def centralizer_order(parts: Sequence[int]) -> int:

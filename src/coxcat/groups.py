@@ -46,7 +46,8 @@ class ConjugacyClass(NamedTuple):
 
 
 class GroupData:
-    """A generated group; hashed by identity, because it keys the character cache."""
+    """A generated group, its classes sorted by (size, rep), so class 0 is the
+    identity's.  Compared and hashed by identity; no cache is keyed on it."""
 
     __slots__ = ("rs", "elements", "classes")
 
@@ -73,13 +74,17 @@ def generate_group(rs: RootSystem) -> GroupData:
     if rs.order > _ORDER_CAP:
         raise CapacityExceeded(f"{rs.label}: |W| = {rs.order} exceeds {_ORDER_CAP}")
     gens = rs.simple_tables
-    seen = orbit([rs.identity_table()], lambda g: [compose(s, g) for s in gens])
+    identity = rs.identity_table()
+    seen = orbit([identity], lambda g: [compose(s, g) for s in gens])
     if len(seen) != rs.order:
         raise InternalError(
             f"{rs.label}: generated {len(seen)} elements, expected {rs.order}"
         )
     elements = tuple(sorted(seen))
     classes = _conjugacy_classes(rs, elements)
+    # the identity is the least table and alone in its class, so the sort puts it first
+    if classes[0].rep != identity:
+        raise InternalError(f"{rs.label}: class 0 is not the identity")
     return GroupData(rs=rs, elements=elements, classes=classes)
 
 

@@ -11,7 +11,9 @@ over the flats of rank k as the reduced homology of the intervals
 and only the fixed flats contribute to its trace.  Geometric lattices
 are Cohen-Macaulay, and the Hopf trace formula makes each contribution a
 Moebius number of the g-fixed subposet (Baclawski-Bjorner 1979; Sundaram
-1994).  The Moebius function is computed rank by rank.
+1994).  The Moebius function is computed rank by rank.  The class table
+is cached per root system; its classes are those of generate_group, whose
+class 0 is the identity's, with character prod (1 - e_i t).
 
 Flats are hyperplane bitmasks.  Every flat of a Coxeter arrangement is
 W-conjugate to a standard parabolic one (Steinberg 1964; Orlik-Solomon,
@@ -40,13 +42,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapacityExceeded, CheckFailed, InternalError
 from .exact import UniPoly, command_cache, divide_one_minus_t
-from .groups import (
-    ConjugacyClass,
-    GroupData,
-    chi_R,
-    generate_group,
-    has_positive_short_cycle,
-)
+from .groups import ConjugacyClass, chi_R, generate_group, has_positive_short_cycle
 from .rootsys import RootSystem, orbit
 
 _MAX_HYPERPLANES = 25
@@ -223,17 +219,14 @@ def hyperplane_map(rs: RootSystem, g: tuple) -> tuple:
 
 
 class GradedCharacter(NamedTuple):
+    """chars[i] is the graded character of classes[i], the classes of
+    generate_group(rs), so class 0 is the identity's.  os_graded_character
+    caches one per root system."""
+
     rs: RootSystem
     classes: Tuple[ConjugacyClass, ...]
     chars: Tuple[UniPoly, ...]
     dims: Tuple[int, ...]
-
-    def identity_index(self) -> int:
-        identity = self.rs.identity_table()
-        for i, cls in enumerate(self.classes):
-            if cls.rep == identity:
-                return i
-        raise InternalError("identity class missing")
 
 
 def build_os_algebra(rs: RootSystem) -> OSAlgebra:
@@ -328,41 +321,40 @@ def flat_lattice(rs: RootSystem) -> FlatLattice:
     )
 
 
-def _checked_character(rs: RootSystem, group: GroupData, chars) -> GradedCharacter:
-    """The class characters, once the identity's is prod (1 - e_i t)."""
+def _checked_character(rs: RootSystem, classes, chars) -> GradedCharacter:
+    """The class characters, once the identity's, chars[0], is prod (1 - e_i t)."""
     expected = identity_character(rs)
     dims = tuple(abs(c) for c in expected.coeffs)
-    gc = GradedCharacter(rs=rs, classes=group.classes, chars=tuple(chars), dims=dims)
-    identity_char = gc.chars[gc.identity_index()]
-    if identity_char != expected:
-        raise InternalError(
-            f"{rs.label}: identity character {identity_char!r} != {expected!r}"
-        )
-    return gc
+    if chars[0] != expected:
+        raise InternalError(f"{rs.label}: identity character {chars[0]!r} != {expected!r}")
+    return GradedCharacter(rs=rs, classes=classes, chars=tuple(chars), dims=dims)
 
 
 @command_cache
-def os_graded_character(rs: RootSystem, group: GroupData) -> GradedCharacter:
+def os_graded_character(rs: RootSystem) -> GradedCharacter:
     """Per-class graded character chi(g)(t) by Moebius numbers of the fixed flats.
 
-    Cached per (root system, group); the flat lattice itself is not kept.
+    Cached per root system; the flat lattice itself is not kept.
     """
+    classes = generate_group(rs).classes
     lattice = flat_lattice(rs)
-    chars = [lattice.character(hyperplane_map(rs, cls.rep)) for cls in group.classes]
-    return _checked_character(rs, group, chars)
+    return _checked_character(
+        rs, classes, [lattice.character(hyperplane_map(rs, cls.rep)) for cls in classes]
+    )
 
 
-def nbc_graded_character(rs: RootSystem, group: GroupData) -> GradedCharacter:
+def nbc_graded_character(rs: RootSystem) -> GradedCharacter:
     """The same character, chi(g)(t) = sum_k tr(g|OS_k) (-t)^k, from NBC bases."""
+    classes = generate_group(rs).classes
     algebra = build_os_algebra(rs)
     chars = []
-    for cls in group.classes:
+    for cls in classes:
         hmap = hyperplane_map(rs, cls.rep)
         chars.append(
             UniPoly([(-1) ** k * algebra.degree_trace(hmap, k) for k in range(rs.rank + 1)])
         )
     # build_os_algebra has checked algebra.dims against the identity character
-    return _checked_character(rs, group, chars)
+    return _checked_character(rs, classes, chars)
 
 
 def _quotient(gc: GradedCharacter, index: int) -> tuple:
@@ -391,23 +383,16 @@ def quotient_traces(gc: GradedCharacter, index: int) -> List[int]:
 
 def verify_main_conjecture(rs: RootSystem) -> dict:
     """Class-by-class check of chi_R * chi_G' = (-1)^(n-1) f_W chi_Reg."""
-    group = generate_group(rs)
-    chi_gp = g_prime_character(os_graded_character(rs, group))
-    return _check_main_classes(rs, group, chi_R(rs, group.classes), chi_gp)
-
-
-def _check_main_classes(
-    rs: RootSystem, group: GroupData, chi_r: Sequence[int], chi_gp: Sequence[int]
-) -> dict:
-    """The class-by-class loop of verify_main_conjecture, on values already built."""
+    gc = os_graded_character(rs)
     f_count = rs.full_reflection_count()
-    n = rs.rank
-    identity = rs.identity_table()
+    sign = (-1) ** (rs.rank - 1)
     rows = []
-    for cls, r_val, gp_val in zip(group.classes, chi_r, chi_gp):
-        reg = rs.order if cls.rep == identity else 0
+    for index, (cls, r_val, gp_val) in enumerate(
+        zip(gc.classes, chi_R(rs, gc.classes), g_prime_character(gc))
+    ):
         lhs = r_val * gp_val
-        rhs = (-1) ** (n - 1) * f_count * reg
+        # chi_Reg is |W| on class 0, the identity, and 0 on every other class
+        rhs = sign * f_count * rs.order if index == 0 else 0
         if lhs != rhs:
             raise CheckFailed(
                 f"{rs.label} class {cls.describe()}: chi_R*chi_G' = {lhs} != {rhs}"
@@ -433,14 +418,10 @@ def check_B_gprime_lemma(rs: RootSystem) -> dict:
     and characters of positive-2-cycle classes are divisible by (1-t)^2."""
     if rs.family != "B":
         raise ValueError(f"{rs.label}: this lemma concerns type B")
-    group = generate_group(rs)
-    gc = os_graded_character(rs, group)
-    chi_gp = g_prime_character(gc)
-    identity = rs.identity_table()
+    gc = os_graded_character(rs)
     checked = 0
-    for cls, poly, gp_val in zip(group.classes, gc.chars, chi_gp):
-        if cls.rep == identity:
-            continue
+    # class 0, the identity, is skipped
+    for cls, poly, gp_val in zip(gc.classes[1:], gc.chars[1:], g_prime_character(gc)[1:]):
         if has_positive_short_cycle(cls.label):
             if gp_val != 0:
                 raise CheckFailed(
@@ -454,14 +435,14 @@ def check_B_gprime_lemma(rs: RootSystem) -> dict:
                 raise CheckFailed(
                     f"{rs.label} class {cls.label}: {poly!r} not divisible by (1-t)^2"
                 )
-    return {"classes": len(group.classes), "vanishing_checked": checked}
+    return {"classes": len(gc.classes), "vanishing_checked": checked}
 
 
-def reflection_class_indices(rs: RootSystem, group: GroupData) -> List[int]:
+def reflection_class_indices(rs: RootSystem, classes: Sequence[ConjugacyClass]) -> List[int]:
     """Classes of reflections: elements negating exactly one positive root."""
     N = rs.n_positive
     out = []
-    for i, cls in enumerate(group.classes):
+    for i, cls in enumerate(classes):
         negated = sum(1 for j in range(N) if cls.rep[j] == N + j)
         if negated == 1:
             out.append(i)
@@ -482,31 +463,28 @@ def check_dihedral(rs: RootSystem) -> dict:
     if rs.family != "I":
         raise ValueError(f"{rs.label}: dihedral check needs I2(m)")
     m = rs.m
-    group = generate_group(rs)
-    gc = os_graded_character(rs, group)
-    chi_r = chi_R(rs, group.classes)
+    gc = os_graded_character(rs)
     chi_gp = g_prime_character(gc)
-    identity = rs.identity_table()
     report: dict = {"m": m, "odd": m % 2 == 1, "reflections": []}
     if m % 2 == 1:
-        for cls, val in zip(group.classes, chi_r):
-            expected = rs.order if cls.rep == identity else 0
+        for index, (cls, val) in enumerate(zip(gc.classes, chi_R(rs, gc.classes))):
+            expected = rs.order if index == 0 else 0
             if val != expected:
                 raise CheckFailed(
                     f"{rs.label} class {cls.describe()}: chi_R = {val}, "
                     f"regular character = {expected}"
                 )
         report["chi_r_regular"] = True
-    for idx in reflection_class_indices(rs, group):
+    for idx in reflection_class_indices(rs, gc.classes):
         traces = quotient_traces(gc, idx)
         report["reflections"].append(
             {
-                "class": group.classes[idx].describe(),
+                "class": gc.classes[idx].describe(),
                 "char": gc.chars[idx],
                 "trace0": traces[0],
                 "trace1": traces[1],
                 "g_prime": chi_gp[idx],
             }
         )
-    report["main"] = _check_main_classes(rs, group, chi_r, chi_gp)
+    report["main"] = verify_main_conjecture(rs)
     return report

@@ -124,27 +124,6 @@ class AntichainTally(NamedTuple):
     def total(self) -> int:
         return sum(c for _, c in self.counts)
 
-    def by_cardinality(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for (k, _, _), c in self.counts:
-            out[k] = out.get(k, 0) + c
-        return out
-
-    def by_cardinality_simples(self) -> Dict[Tuple[int, int], int]:
-        out: Dict[Tuple[int, int], int] = {}
-        for (k, l, _), c in self.counts:
-            out[(k, l)] = out.get((k, l), 0) + c
-        return out
-
-    def full_type_by_cardinality(self) -> Dict[int, int]:
-        """Counts of antichains whose support covers every diagram edge."""
-        full = (1 << self.n_edges) - 1
-        out: Dict[int, int] = {}
-        for (k, _, em), c in self.counts:
-            if em == full:
-                out[k] = out.get(k, 0) + c
-        return out
-
 
 @command_cache
 def enumerate_antichains(
@@ -156,17 +135,18 @@ def enumerate_antichains(
 
 def narayana_polynomial(tally: AntichainTally) -> BiPoly:
     """N(x): antichains graded by cardinality."""
-    return BiPoly({(k, 0): c for k, c in tally.by_cardinality().items()})
+    return BiPoly(((k, 0), c) for (k, _, _), c in tally.counts)
 
 
 def h_polynomial(tally: AntichainTally) -> BiPoly:
     """H(x, y): x tracks cardinality, y tracks simple-root members."""
-    return BiPoly({(k, l): c for (k, l), c in tally.by_cardinality_simples().items()})
+    return BiPoly(((k, l), c) for (k, l, _), c in tally.counts)
 
 
 def p_polynomial_direct(tally: AntichainTally) -> BiPoly:
     """P(x): antichains whose supports cover the whole diagram."""
-    return BiPoly({(k, 0): c for k, c in tally.full_type_by_cardinality().items()})
+    full = (1 << tally.n_edges) - 1
+    return BiPoly(((k, 0), c) for (k, _, em), c in tally.counts if em == full)
 
 
 def generalized_catalan(rs: RootSystem) -> int:
@@ -215,8 +195,8 @@ def p_polynomial_mobius(rs: RootSystem) -> BiPoly:
                     if len(component) == rs.rank
                     else enumerate_antichains(rs, component)
                 )
-                by_card = tally.by_cardinality()
-                factor = [by_card.get(k, 0) for k in range(len(component) + 1)]
+                n_poly = narayana_polynomial(tally)
+                factor = [n_poly.coefficient(k) for k in range(len(component) + 1)]
                 narayana[component] = factor
             product = int_poly_mul(product, factor)
         for k, c in enumerate(product):
@@ -248,13 +228,14 @@ def check_antichain_lemmas(rs: RootSystem) -> dict:
     """
     tally = enumerate_antichains(rs)
     n = rs.rank
-    by_card = tally.by_cardinality()
-    by_cs = tally.by_cardinality_simples()
-    if max(by_card) != n or by_card[n] != 1 or by_cs.get((n, n), 0) != 1:
+    n_poly = narayana_polynomial(tally)
+    h_poly = h_polynomial(tally)
+    largest = max(k for k, _ in n_poly.terms)
+    if largest != n or n_poly.coefficient(n) != 1 or h_poly.coefficient(n, n) != 1:
         poset = RootPoset(rs)
         witness = _witness(
             poset,
-            lambda ac: len(ac) == max(by_card)
+            lambda ac: len(ac) == largest
             and set(poset.root_ids[a] for a in ac) != set(rs.simple_positions),
         )
         raise CheckFailed(
@@ -274,7 +255,6 @@ def check_antichain_lemmas(rs: RootSystem) -> dict:
                 f"(b) full-type iff no simple root fails at (k,l,edges)="
                 f"({k},{l},{em:b}): witness {witness}"
             )
-    n_poly = narayana_polynomial(tally)
     if n_poly != n_poly.reverse_x(n):
         raise CheckFailed(f"(c) Narayana polynomial not palindromic: {n_poly!r}")
     p_direct = p_polynomial_direct(tally)
@@ -285,7 +265,6 @@ def check_antichain_lemmas(rs: RootSystem) -> dict:
         raise CheckFailed(
             f"(e) P coefficient {p_direct.coefficient(n - 1, 0)} != full count {f_count}"
         )
-    h_poly = h_polynomial(tally)
     if h_poly.coefficient(n - 1, 0) != f_count:
         raise CheckFailed(
             f"(f) H(n-1, 0) coefficient {h_poly.coefficient(n - 1, 0)} != {f_count}"

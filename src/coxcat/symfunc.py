@@ -318,12 +318,10 @@ def make_bundle(truncation: int, twist: bool) -> SeriesBundle:
 def _symmetric_group_oracle(n: int) -> ClassValues:
     """Graded reflection-arrangement character of the symmetric group S_n by
     class, computed from the NBC bases of the rank n-1 root system."""
-    from .groups import generate_group
     from .osalgebra import nbc_graded_character
     from .rootsys import build_root_system
 
-    rs = build_root_system(f"A{n - 1}")
-    gc = nbc_graded_character(rs, generate_group(rs))
+    gc = nbc_graded_character(build_root_system(f"A{n - 1}"))
     values = {cls.label: poly.coeffs for cls, poly in zip(gc.classes, gc.chars)}
     if len(values) != len(gc.classes):
         raise InternalError("duplicate class labels in the S_n oracle")

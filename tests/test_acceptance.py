@@ -195,7 +195,7 @@ def test_criterion_06_os_dimensions_and_divisibility():
         rs = rs_for(label)
         algebra = build_os_algebra(rs)
         assert algebra.dims == elementary_symmetric(rs.exponents), label
-        gc = os_graded_character(rs, generate_group(rs))
+        gc = os_graded_character(rs)
         for cls, poly in zip(gc.classes, gc.chars):
             unipoly_divide_exact(poly, one_minus_t)
     verdict(6, f"dims = e_k(exponents) and (1-t) | chi for {len(OS_ORACLE_TYPES)} types")
@@ -258,11 +258,10 @@ def test_criterion_09_dihedral_quotient_traces():
         label = f"I2({m})"
         expected = dihedral_reflection_expectation(m)
         rs = rs_for(label)
-        group = generate_group(rs)
-        gc = os_graded_character(rs, group)
+        gc = os_graded_character(rs)
         chi_gp = g_prime_character(gc)
-        chi_r = chi_R(rs, group.classes)
-        indices = reflection_class_indices(rs, group)
+        chi_r = chi_R(rs, gc.classes)
+        indices = reflection_class_indices(rs, gc.classes)
         reported = check_dihedral(rs)["reflections"]
         if len(indices) != expected["classes"] or len(reported) != len(indices):
             problems.append(
@@ -278,7 +277,7 @@ def test_criterion_09_dihedral_quotient_traces():
                 "g_prime": chi_gp[idx],
                 "chi_r": chi_r[idx],
             }
-            where = f"{label} reflection class {group.classes[idx].describe()}"
+            where = f"{label} reflection class {gc.classes[idx].describe()}"
             if any(found[key] != expected[key] for key in found):
                 problems.append(
                     f"{where}: {reflection_values(found)} where "

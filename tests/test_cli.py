@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _run_limited(argv):
+    """The CLI in a child process with 1 GB of address space, so a label that
+    escapes its bound fails fast instead of exhausting the host."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "coxcat.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
 
 
 def test_table_rows(capsys):
@@ -194,19 +207,33 @@ def test_usage_errors_exit_two(capsys):
         ("--threads", "4", "table", "A2"),
         ("verify", "all", "Z9"),  # an unknown label is no capacity overrun
         ("antichains", "H3"),
+        # labels beyond the rank and dihedral-order bounds
+        ("table", "I2(10000000)"),
+        ("verify", "all", "A100000"),
+        ("table", "A49"),
+        ("roots", "B49", "--json"),
+        ("table", "C49"),
+        ("verify", "all", "D49"),
+        ("table", "I2(50001)"),
+        ("table", "A" + "9" * 5000),  # too many digits for int()
     ],
 )
-def test_out_of_range_requests_exit_two_in_one_line(capsys, argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse rejects the command line itself
-        code = exc.code
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("coxcat")
-    assert captured.err.count("\n") == 1, captured.err
-    assert "Traceback" not in captured.err
+def test_out_of_range_requests_exit_two_in_one_line(argv):
+    done = _run_limited(argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("coxcat")
+    assert done.stderr.count("\n") == 1, done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_largest_admitted_labels_run():
+    labels = ["A48", "B48", "C48", "D48", "I2(50000)"]
+    done = _run_limited(["table", *labels])
+    assert (done.returncode, done.stderr) == (0, "")
+    rows = done.stdout.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == labels
+    assert all(row.endswith("ok") for row in rows)
 
 
 def test_fpoly_allow_large_override(capsys):

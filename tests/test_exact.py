@@ -147,6 +147,10 @@ class TestBiPoly:
         assert g.coefficient(1, 1) == 12
         assert g.coefficient(0, 2) == 9
 
+    def test_repeated_pairs_are_summed_and_zero_sums_dropped(self):
+        f = BiPoly([((1, 0), 2), ((0, 1), 3), ((1, 0), -2), ((0, 1), Fraction(1, 2))])
+        assert f.terms == {(0, 1): Fraction(7, 2)}
+
     def test_reverse_x_palindrome(self):
         f = BiPoly({(0, 0): 1, (1, 0): 3, (2, 0): 1})
         assert f == f.reverse_x(2)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from coxcat.errors import CapacityExceeded
+from coxcat.errors import CapacityExceeded, InternalError
 from coxcat.exact import centralizer_order, partitions_of
 from coxcat.groups import (
     check_B_lemma,
@@ -137,12 +137,34 @@ def test_b_lemma_rejects_other_families():
         check_B_lemma(rs, generate_group(rs))
 
 
+# every type inside the group caps (|W| <= 10,000 and at most 256 roots)
+GROUP_CAP_TYPES = (
+    [f"A{n}" for n in range(1, 7)]
+    + [f"B{n}" for n in range(2, 6)]
+    + [f"C{n}" for n in range(3, 6)]
+    + ["D4", "D5", "F4", "G2", "H3"]
+    + [f"I2({m})" for m in range(5, 129)]
+)
+
+
 def test_identity_class_comes_first():
-    for label in ("A3", "B3", "H3", "I2(6)"):
+    for label in GROUP_CAP_TYPES:
         rs = build_root_system(label)
         group = generate_group(rs)
-        assert group.classes[0].rep == rs.identity_table()
+        assert group.classes[0].rep == rs.identity_table(), label
         assert group.classes[0].size == 1
+
+
+def test_a_class_sort_without_the_identity_first_is_an_internal_error(monkeypatch):
+    import coxcat.groups as groups
+
+    classes_of = groups._conjugacy_classes
+    monkeypatch.setattr(
+        groups, "_conjugacy_classes", lambda rs, elements: classes_of(rs, elements)[::-1]
+    )
+    generate_group.cache_clear()
+    with pytest.raises(InternalError, match="B3: class 0 is not the identity"):
+        generate_group(build_root_system("B3"))
 
 
 def test_dihedral_odd_root_action_is_regular():

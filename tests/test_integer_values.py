@@ -9,7 +9,6 @@ import pytest
 from coxcat.cluster import ClusterComplex
 from coxcat.errors import CapacityExceeded
 from coxcat.exact import BiPoly, bipoly_substitute
-from coxcat.groups import generate_group
 from coxcat.osalgebra import g_prime_character, os_graded_character
 from coxcat.poset import (
     enumerate_antichains,
@@ -44,11 +43,10 @@ def test_counts_and_characters_have_int_coefficients(label):
         }
         checked.update((name, _coefficients(poly)) for name, poly in polys.items())
     try:
-        group = generate_group(rs)
+        gc = os_graded_character(rs)
     except CapacityExceeded:
         assert rs.order > 10_000, label  # E6: characters only inside the group cap
     else:
-        gc = os_graded_character(rs, group)
         for cls, poly in zip(gc.classes, gc.chars):
             checked[f"chi {cls.describe()}"] = _coefficients(poly)
         checked["chi_G'"] = g_prime_character(gc)

@@ -253,9 +253,8 @@ NBC_TYPES = (
 @pytest.mark.parametrize("label", NBC_TYPES)
 def test_fixed_flat_characters_equal_nbc_characters(label):
     rs = build_root_system(label)
-    group = generate_group(rs)
-    flats = os_graded_character(rs, group)
-    nbc = nbc_graded_character(rs, group)
+    flats = os_graded_character(rs)
+    nbc = nbc_graded_character(rs)
     assert flats.chars == nbc.chars
     assert flats.dims == nbc.dims
 
@@ -314,7 +313,7 @@ def test_gerst_class_values_equal_fixed_flat_characters(n):
     # of A_{n-1}: degree n of Gerst on cycle type lam is chi(C_lam)(t)
     bundle = calibrated_bundle(7)
     rs = build_root_system(f"A{n - 1}")
-    gc = os_graded_character(rs, generate_group(rs))
+    gc = os_graded_character(rs)
     assert len(gc.classes) == len({cls.label for cls in gc.classes})
     for cls, char in zip(gc.classes, gc.chars):
         assert class_value(bundle, cls.label) == char, cls.label
@@ -323,35 +322,34 @@ def test_gerst_class_values_equal_fixed_flat_characters(n):
 @pytest.mark.parametrize("label", ORACLE_TYPES)
 def test_identity_character_is_poincare_polynomial(label):
     rs = build_root_system(label)
-    gc = os_graded_character(rs, generate_group(rs))
+    gc = os_graded_character(rs)
     expected = UniPoly.one()
     for e in rs.exponents:
         expected = expected * UniPoly((1, -e))
-    assert gc.chars[gc.identity_index()] == expected
+    assert gc.chars[0] == expected
 
 
 @pytest.mark.parametrize("label", ORACLE_TYPES)
 def test_every_class_character_divisible_by_one_minus_t(label):
     rs = build_root_system(label)
-    gc = os_graded_character(rs, generate_group(rs))
+    gc = os_graded_character(rs)
     for poly in gc.chars:
         unipoly_divide_exact(poly, UniPoly((1, -1)))  # raises on failure
 
 
 def test_frozen_g_prime_values():
     rs = build_root_system("A2")
-    gc = os_graded_character(rs, generate_group(rs))
-    assert g_prime_character(gc)[gc.identity_index()] == -1
+    gc = os_graded_character(rs)
+    assert g_prime_character(gc)[0] == -1
 
     rs = build_root_system("B3")
-    gc = os_graded_character(rs, generate_group(rs))
-    assert g_prime_character(gc)[gc.identity_index()] == 8
+    gc = os_graded_character(rs)
+    assert g_prime_character(gc)[0] == 8
 
     rs = build_root_system("I2(6)")
-    group = generate_group(rs)
-    gc = os_graded_character(rs, group)
+    gc = os_graded_character(rs)
     values = g_prime_character(gc)
-    for idx in reflection_class_indices(rs, group):
+    for idx in reflection_class_indices(rs, gc.classes):
         assert values[idx] == 0
         assert gc.chars[idx] == UniPoly((1, -2, 1))
 
@@ -408,6 +406,8 @@ def test_dihedral_report_builds_group_once(monkeypatch, m):
     import coxcat.osalgebra as osalgebra
 
     rs = build_root_system(f"I2({m})")
+    for cached in (generate_group, os_graded_character):
+        cached.cache_clear()
     calls = []
 
     def counting_generate_group(rs_arg):
@@ -510,9 +510,8 @@ def test_traces_are_class_functions():
 
 def test_quotient_traces_match_division():
     rs = build_root_system("B2")
-    gc = os_graded_character(rs, generate_group(rs))
-    idx = gc.identity_index()
-    traces = quotient_traces(gc, idx)
+    gc = os_graded_character(rs)
+    traces = quotient_traces(gc, 0)
     # identity: (1-t)(1-3t)/(1-t) = 1-3t, so degree traces are 1 and 3
     assert traces[0] == 1
     assert traces[1] == 3
@@ -520,7 +519,7 @@ def test_quotient_traces_match_division():
 
 def test_g_prime_rejects_non_divisible_input():
     rs = build_root_system("A1")
-    gc = os_graded_character(rs, generate_group(rs))
+    gc = os_graded_character(rs)
     broken = gc._replace(chars=(UniPoly((1, 1)),) * len(gc.chars))
     with pytest.raises(CheckFailed, match="not divisible by 1-t"):
         g_prime_character(broken)
@@ -528,7 +527,7 @@ def test_g_prime_rejects_non_divisible_input():
 
 def test_quotient_traces_reject_non_divisible_input():
     rs = build_root_system("A1")
-    gc = os_graded_character(rs, generate_group(rs))
+    gc = os_graded_character(rs)
     broken = gc._replace(chars=(UniPoly((1, 1)),) * len(gc.chars))
     with pytest.raises(CheckFailed, match=r"A1 class .*: 1 \+ t not divisible by 1-t"):
         quotient_traces(broken, 0)

@@ -409,7 +409,7 @@ def test_calibration_cross_checks_the_recurrence_against_plethysm(monkeypatch, c
 def test_gerst_class_values_match_the_arrangement_beyond_the_oracle_degrees(n):
     # the calibration compares degrees <= 4 only; A_{n-1} is an independent check
     rs = build_root_system(f"A{n - 1}")
-    character = os_graded_character(rs, generate_group(rs))
+    character = os_graded_character(rs)
     bundle = calibrated_bundle(8)
     assert sorted(cls.label for cls in character.classes) == sorted(partitions_of(n))
     for cls, chi in zip(character.classes, character.chars):
