@@ -25,10 +25,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": "CapacityExceeded CheckFailed CoxcatError InternalError UsageError",
     "exact": "BiPoly GoldenNumber UniPoly bipoly_substitute partitions_of unipoly_divide_exact",
-    "rootsys": "RootSystem build_root_system reflection_of_root",
+    "rootsys": "RootSystem build_root_system",
     "poset": "AntichainTally RootPoset check_antichain_lemmas enumerate_antichains "
     "generalized_catalan h_polynomial narayana_polynomial p_polynomial_direct p_polynomial_mobius",
-    "cluster": "ClusterComplex compatibility_degree f_polynomial tau_map verify_hf_conjecture",
+    "cluster": "ClusterComplex compatibility_degree f_polynomial verify_hf_conjecture",
     "groups": "ConjugacyClass GroupData check_B_lemma chi_R generate_group signed_cycle_type",
     "osalgebra": "GradedCharacter check_B_gprime_lemma check_dihedral check_dimension_identity "
     "g_prime_character os_graded_character verify_main_conjecture",

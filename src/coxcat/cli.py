@@ -264,14 +264,21 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+# The series cost about triples every four degrees: on 2 vCPUs `gerst
+# --max-degree 24` takes 2.8 s and 30 MB, 28 takes 6.7 s and 32 takes 23 s.
+_MAX_DEGREE = 24
+
+
 def _positive_int(text: str) -> int:
-    """argparse type for --max-degree: a series truncation of at least 1."""
+    """argparse type for --max-degree: a series truncation in 1.._MAX_DEGREE."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > _MAX_DEGREE:
+        raise argparse.ArgumentTypeError(f"must be at most {_MAX_DEGREE}, got {value}")
     return value
 
 

@@ -13,8 +13,8 @@ the same graph, and they must number Cat(W).
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from typing import Dict, Tuple
+from functools import lru_cache
+from typing import Tuple
 
 from . import kernels
 from .errors import CheckFailed, InternalError, UsageError
@@ -37,7 +37,6 @@ def vertex_count(rs: RootSystem) -> int:
     return rs.rank + rs.n_positive
 
 
-@lru_cache(maxsize=None)
 def _tau_tables(rs: RootSystem) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """The rotations tau_+ and tau_- as permutations of the vertices.
 
@@ -72,11 +71,6 @@ def _tau_tables(rs: RootSystem) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
                 raise InternalError(f"{rs.label}: tau image is a non-simple negative root")
         out.append(tuple(images))
     return out[0], out[1]
-
-
-def tau_map(rs: RootSystem, eps: int, v: int) -> int:
-    """Rotation map on vertices; eps is +1 or -1 picking the bipartition half."""
-    return _tau_tables(rs)[0 if eps > 0 else 1][v]
 
 
 @lru_cache(maxsize=None)
@@ -123,8 +117,8 @@ def compatibility_degree(rs: RootSystem, u: int, v: int) -> int:
 class ClusterComplex:
     """Compatibility graph of a crystallographic root system.
 
-    F is read off the clique tally, made on first use; the maximal faces
-    are counted by kernels.maximal_cliques.
+    F is read off the clique tally; the maximal faces are counted by
+    kernels.maximal_cliques.
     """
 
     def __init__(self, rs: RootSystem, allow_large: bool = False):
@@ -143,19 +137,15 @@ class ClusterComplex:
                     self.adjacency[u] |= 1 << v
                     self.adjacency[v] |= 1 << u
 
-    @cached_property
-    def _faces(self) -> Dict[kernels.TallyKey, int]:
-        """Faces keyed by (positive vertices, negative simples, 0)."""
-        return kernels.clique_tally(
+    def f_tally(self) -> BiPoly:
+        """F(x, y): face counts by x^(#positive vertices) y^(#negative simples)."""
+        faces = kernels.clique_tally(
             self.adjacency,
             special_mask=(1 << self.rs.rank) - 1,
             edge_masks=[0] * self.n_vertices,
             max_size=self.rs.rank,
         )
-
-    def f_tally(self) -> BiPoly:
-        """F(x, y): face counts by x^(#positive vertices) y^(#negative simples)."""
-        return BiPoly(((k, l), c) for (k, l, _), c in self._faces.items())
+        return BiPoly(((k, l), c) for (k, l, _), c in faces.items())
 
     def maximal_face_count(self) -> Tuple[int, int]:
         """(number of maximal faces, minimum size among them)."""

@@ -27,13 +27,6 @@ def compose(g: tuple, h: tuple) -> tuple:
     return tuple(g[x] for x in h)
 
 
-def invert(g: tuple) -> tuple:
-    out = [0] * len(g)
-    for x, y in enumerate(g):
-        out[y] = x
-    return tuple(out)
-
-
 class ConjugacyClass(NamedTuple):
     rep: tuple
     size: int

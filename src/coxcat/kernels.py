@@ -13,7 +13,7 @@ set alone.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 TallyKey = Tuple[int, int, int]
 
@@ -123,20 +123,3 @@ def maximal_cliques(adj: Sequence[int]) -> Tuple[int, int]:
     expand(0, (1 << len(adj)) - 1, 0)
     return count, smallest
 
-
-def iter_cliques(adj: Sequence[int]) -> Iterator[int]:
-    """Yield every clique as a member bitmask, the empty clique first.
-
-    For callers that need the members themselves; clique_tally only counts.
-    """
-    n = len(adj)
-
-    def rec(members: int, cand: int) -> Iterator[int]:
-        yield members
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            yield from rec(members | low, cand & adj[v])
-
-    yield from rec(0, (1 << n) - 1)

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import kernels
 from .errors import CapacityExceeded, CheckFailed, InternalError, UsageError
 from .exact import BiPoly, command_cache, int_poly_mul
-from .rootsys import RootSystem, orbits
+from .rootsys import RootSystem, orbit, orbits
 
 # Both antichains and clusters number Cat(W).  Every exceptional type fits
 # (Cat(E8) = 25,080), and so do A11, B10, C10 and D10; the largest admitted,
@@ -76,11 +76,6 @@ class RootPoset:
                 if e[0] in support and e[1] in support:
                     self.edge_masks[a] |= 1 << edge_pos[e]
 
-    def iter_antichains(self) -> Iterator[Tuple[int, ...]]:
-        """Yield antichains as tuples of local root indices (empty one first)."""
-        for mask in kernels.iter_cliques(self.incomparable):
-            yield tuple(a for a in range(self.size) if (mask >> a) & 1)
-
 
 @lru_cache(maxsize=None)
 def _upper_covers(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
@@ -101,7 +96,6 @@ class AntichainTally(NamedTuple):
 
     counts: tuple  # sorted ((k, l, edge_mask), count) pairs
     n_edges: int
-    rank: int
 
     @staticmethod
     def from_poset(poset: RootPoset) -> "AntichainTally":
@@ -117,7 +111,6 @@ class AntichainTally(NamedTuple):
         return AntichainTally(
             counts=tuple(sorted(counts.items())),
             n_edges=len(poset.edge_list),
-            rank=len(poset.nodes),
         )
 
     @property
@@ -290,7 +283,22 @@ def _covers_all(poset: RootPoset, antichain: tuple) -> bool:
 
 
 def _witness(poset: RootPoset, predicate) -> Optional[tuple]:
-    for antichain in poset.iter_antichains():
+    """Root indices of the first antichain satisfying predicate, or None.
+
+    Antichains (tuples of local indices) grow by a member of higher index
+    than the last, so the walk meets each once, cardinality by cardinality,
+    each cardinality in lexicographic order.
+    """
+
+    def grow(state):
+        antichain, cand = state
+        while cand:
+            low = cand & -cand
+            b = low.bit_length() - 1
+            cand ^= low
+            yield antichain + (b,), cand & poset.incomparable[b]
+
+    for antichain, _ in orbit([((), (1 << poset.size) - 1)], grow):
         if predicate(antichain):
             return tuple(poset.root_ids[a] for a in antichain)
     return None

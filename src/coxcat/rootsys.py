@@ -9,13 +9,13 @@ sums, differences, products and sign tests.
 Positive roots are generated by closing the simple roots under the simple
 reflections and sorted by (height, coordinates), so every index-based
 structure downstream is deterministic.  Each simple reflection is stored as
-a permutation table of the root indices, and every other reflection is
-built from those tables by conjugation.  A RootSystem is immutable after
+a permutation table of the root indices.  A RootSystem is immutable after
 construction and safe to share across threads.
 
 That closure is one `orbit` (all that moves reach from some seeds), and
 `orbits` splits a set into orbits; the group elements and classes, flats,
-diagram components and cycles of the other modules all come from these two.
+diagram components, cycles and antichain witnesses of the other modules all
+come from these two.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from typing import NamedTuple, Optional, Tuple
 from .errors import InternalError, UsageError
 from .exact import GoldenNumber, PHI, conjugate_partition
 
-# at most 9 digits, so int() never meets a number too long to convert
-_LABEL_RE = re.compile(r"^([A-H])(\d{1,9})$|^I2\((\d{1,9})\)$")
+# at most 9 ASCII digits, so int() never meets a number too long to convert
+_LABEL_RE = re.compile(r"^([A-H])([0-9]{1,9})$|^I2\(([0-9]{1,9})\)$")
 
 # Labels beyond these bounds are refused.  The largest admitted, B48, C48 and
 # D48, run `table`, `roots --json` and `verify all` in about 1.5 s and 75 MB
@@ -67,7 +67,7 @@ def parse_label(label: str) -> Tuple[str, int, Optional[int]]:
     }
     lo, hi = bounds[family]
     if not lo <= rank <= hi:
-        raise UsageError(f"rank {rank} out of range for family {family}")
+        raise UsageError(f"rank {rank} out of range for family {family} ({lo}..{hi})")
     return family, rank, None
 
 
@@ -404,41 +404,6 @@ class RootSystem:
         for e in self.exponents[1:]:
             prod *= e - 1
         return Fraction(self.rank * self.coxeter_number * prod, self.order)
-
-
-def reflection_of_root(rs: RootSystem, j: int) -> tuple:
-    """Permutation table of the reflection negating positive root j.
-
-    A walk up from the simple roots through the simple tables, staying
-    among positive roots, reaches beta_j = w(alpha_i) with
-    w = s_k1 ... s_kr; then s_beta = w s_i w^-1 (Humphreys, Reflection Groups
-    and Coxeter Groups, 1.2 and 1.14).  Only permutation tables are
-    composed, so every family, I2(m) included, takes this one path.
-    """
-    N = rs.n_positive
-    if not 0 <= j < N:
-        raise ValueError(f"positive root index out of range: {j}")
-    # step[y] = (k, x) with y = s_k(x); a simple root i has step (i, None)
-    step = {p: (i, None) for i, p in enumerate(rs.simple_positions)}
-    queue = list(step)
-    for x in queue:
-        if j in step:
-            break
-        for k, s in enumerate(rs.simple_tables):
-            y = s[x]
-            if y < N and y not in step:
-                step[y] = (k, x)
-                queue.append(y)
-    path = []
-    k, x = step[j]
-    while x is not None:
-        path.append(k)
-        k, x = step[x]
-    table = rs.simple_tables[k]
-    for k in reversed(path):
-        s = rs.simple_tables[k]
-        table = tuple(s[table[s[z]]] for z in range(2 * N))
-    return table
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,6 @@ plethysm at the oracle degrees n <= 4 on every run.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
@@ -163,7 +162,6 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
     return total
 
 
-@lru_cache(maxsize=None)
 def _mobius(d: int) -> int:
     if d == 1:
         return 1

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from coxcat.cli import main
+from coxcat.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -216,6 +216,12 @@ def test_usage_errors_exit_two(capsys):
         ("verify", "all", "D49"),
         ("table", "I2(50001)"),
         ("table", "A" + "9" * 5000),  # too many digits for int()
+        # digits other than ASCII ones, which int() would convert
+        ("table", "A\u0663"),  # an Arabic-Indic three
+        ("table", "I2(\u0665)"),  # an Arabic-Indic five
+        # series truncations beyond the degree bound
+        ("gerst", "--max-degree", "25"),
+        ("verify", "all", "A3", "--max-degree", "100"),
     ],
 )
 def test_out_of_range_requests_exit_two_in_one_line(argv):
@@ -225,6 +231,20 @@ def test_out_of_range_requests_exit_two_in_one_line(argv):
     assert done.stderr.startswith("coxcat")
     assert done.stderr.count("\n") == 1, done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_rank_refusals_name_the_range(capsys):
+    for label, message in (
+        ("A49", "rank 49 out of range for family A (1..48)"),
+        ("E9", "rank 9 out of range for family E (6..8)"),
+        ("C2", "rank 2 out of range for family C (3..48)"),
+    ):
+        assert run_cli(capsys, "table", label) == (2, "", f"coxcat: {message}\n")
+
+
+def test_the_largest_admitted_degree_parses():
+    args = build_parser().parse_args(["gerst", "--max-degree", "24"])
+    assert args.max_degree == 24
 
 
 def test_largest_admitted_labels_run():

@@ -12,7 +12,6 @@ from coxcat.cluster import (
     ClusterComplex,
     compatibility_degree,
     f_polynomial,
-    tau_map,
     verify_hf_conjecture,
     vertex_count,
 )
@@ -27,8 +26,7 @@ HF_TYPES = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "G2", "F
 def test_tau_maps_are_involutions():
     for label in ("A2", "A3", "B3", "D4", "G2"):
         rs = build_root_system(label)
-        for eps in (1, -1):
-            images = [tau_map(rs, eps, v) for v in range(vertex_count(rs))]
+        for images in _tau_tables(rs):
             assert sorted(images) == list(range(vertex_count(rs)))
             assert all(images[images[v]] == v for v in range(vertex_count(rs)))
 
@@ -66,6 +64,10 @@ def reference_tau_map(rs, eps, v):
     raise InternalError(f"{rs.label}: tau image is a non-simple negative root")
 
 
+# _tau_tables builds both rotations on each call; the per-pair reference reads them once per type
+cached_tau_tables = lru_cache(maxsize=None)(_tau_tables)
+
+
 CRYSTALLOGRAPHIC_TO_E8 = (
     [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
     + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
@@ -79,17 +81,18 @@ BUDGET_TYPES = CRYSTALLOGRAPHIC_TO_E8 + ["A9"]
 @pytest.mark.parametrize("label", CRYSTALLOGRAPHIC_TO_E8)
 def test_tau_tables_match_the_per_call_rotation(label):
     rs = build_root_system(label)
-    for eps in (1, -1):
+    for eps, table in zip((1, -1), _tau_tables(rs)):
         for v in range(vertex_count(rs)):
-            assert tau_map(rs, eps, v) == reference_tau_map(rs, eps, v), (eps, v)
+            assert table[v] == reference_tau_map(rs, eps, v), (eps, v)
 
 
 def test_tau_orbit_size_divides_h_plus_2_on_a2():
     rs = build_root_system("A2")  # h + 2 = 6
     n_vertices = vertex_count(rs)
+    tau_plus, tau_minus = _tau_tables(rs)
 
     def tau_product(v):
-        return tau_map(rs, -1, tau_map(rs, 1, v))
+        return tau_minus[tau_plus[v]]
 
     for v in range(n_vertices):
         orbit = 1
@@ -117,7 +120,7 @@ def test_compatibility_degree_examples_a2():
 
 # The rotation the compatibility rows replaced: each pair rotated on its own.
 def reference_compatibility_degree(rs, u, v):
-    tau_plus, tau_minus = _tau_tables(rs)
+    tau_plus, tau_minus = cached_tau_tables(rs)
     n = rs.rank
     bound = 2 * (rs.coxeter_number + 2)
     steps = 0
@@ -170,9 +173,24 @@ def test_facet_counts_match_antichain_totals():
         assert min_size == rs.rank, "the complex is pure"
 
 
+def reference_iter_cliques(adj):
+    """Every clique as a member bitmask, the empty clique first (depth first)."""
+    n = len(adj)
+
+    def rec(members, cand):
+        yield members
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            yield from rec(members | low, cand & adj[v])
+
+    yield from rec(0, (1 << n) - 1)
+
+
 def extendability_scan(complex_):
     """Maximal faces by testing each face against every outside vertex."""
-    faces = set(kernels.iter_cliques(complex_.adjacency))
+    faces = set(reference_iter_cliques(complex_.adjacency))
     maximal = []
     for mask in faces:
         extendable = False

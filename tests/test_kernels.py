@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from coxcat import kernels
 from coxcat.cli import main
 from coxcat.cluster import ClusterComplex
-from coxcat.kernels import clique_tally, iter_cliques, maximal_cliques
+from coxcat.kernels import clique_tally, maximal_cliques
 from coxcat.poset import RootPoset, _components
 from coxcat.rootsys import build_root_system
 
@@ -94,15 +94,6 @@ def test_wide_graph_beyond_two_machine_words():
     assert maximal_cliques(adj) == (129, 1)
 
 
-def test_iter_cliques_enumerates_each_once():
-    rng = random.Random(3)
-    adj = random_graph(rng, 10, 0.4)
-    seen = list(iter_cliques(adj))
-    assert len(seen) == len(set(seen))
-    expected_total = sum(brute_force_tally(adj, 0, [0] * 10, 10).values())
-    assert len(seen) == expected_total
-
-
 def test_fpoly_walks_the_complex_once(capsys, monkeypatch):
     calls = []
 
@@ -113,12 +104,8 @@ def test_fpoly_walks_the_complex_once(capsys, monkeypatch):
 
         return wrapper
 
-    def no_walk(adj):
-        raise AssertionError("fpoly enumerated the faces one by one")
-
     for name in ("clique_tally", "maximal_cliques"):
         monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
-    monkeypatch.setattr(kernels, "iter_cliques", no_walk)
     assert main(["fpoly", "A3"]) == 0
     assert sorted(calls) == ["clique_tally", "maximal_cliques"]
     assert "maximal faces: 14 (smallest has size 3)" in capsys.readouterr().out

