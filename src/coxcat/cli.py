@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import List
@@ -267,11 +268,16 @@ def cmd_verify(args) -> int:
 # The series cost about triples every four degrees: on 2 vCPUs `gerst
 # --max-degree 24` takes 2.8 s and 30 MB, 28 takes 6.7 s and 32 takes 23 s.
 _MAX_DEGREE = 24
+# ASCII digits only: int() would also take other scripts' digits, "_", "+"
+# and surrounding blanks
+_INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
 def _positive_int(text: str) -> int:
     """argparse type for --max-degree: a series truncation in 1.._MAX_DEGREE."""
     try:
+        if not _INTEGER_RE.fullmatch(text):
+            raise ValueError
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None

@@ -2,13 +2,14 @@
 
 Vertices are indexed 0..n+N-1: vertex i < n is the negative simple -alpha_i
 (node i), vertex n+j is positive root j.  Compatibility is defined through
-the two rotation maps tau induced by the diagram bipartition, which rotate
-every vertex at once, so each vertex's compatibility degrees with all
-vertices come out as one row.  Two vertices are compatible when both mutual
-compatibility degrees vanish, and the faces of the complex are exactly the
-cliques of that relation.  The face polynomial F comes from the clique
-tally; the maximal faces (the clusters) from a separate pivoted walk over
-the same graph, and they must number Cat(W).
+the two rotation maps tau, induced by the bipartition of the Coxeter diagram
+that is computed here.  They rotate every vertex at once, so each vertex's
+compatibility degrees with all vertices come out as one row.  Two vertices
+are compatible when both mutual compatibility degrees vanish, and the faces
+of the complex are exactly the cliques of that relation.  The face
+polynomial F comes from the clique tally; the maximal faces (the clusters)
+from a separate pivoted walk over the same graph, and they must number
+Cat(W).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .poset import (
     generalized_catalan,
     h_polynomial,
 )
-from .rootsys import RootSystem
+from .rootsys import RootSystem, orbit
 
 
 def _check_crystallographic(rs: RootSystem) -> None:
@@ -35,6 +36,21 @@ def _check_crystallographic(rs: RootSystem) -> None:
 
 def vertex_count(rs: RootSystem) -> int:
     return rs.rank + rs.n_positive
+
+
+def _bipartition(n: int, edges: list) -> Tuple[frozenset, frozenset]:
+    """Two-colour the (tree) diagram, node 0 in the plus part."""
+    neighbours = {i: [] for i in range(n)}
+    for (i, j) in edges:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    # a tree reaches each node once, with one colour
+    coloured = orbit([(0, 0)], lambda node: [(j, 1 - node[1]) for j in neighbours[node[0]]])
+    if len(coloured) != n:
+        raise InternalError("Coxeter diagram is not connected")
+    plus = frozenset(i for i, c in coloured if c == 0)
+    minus = frozenset(range(n)) - plus
+    return plus, minus
 
 
 def _tau_tables(rs: RootSystem) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -49,7 +65,7 @@ def _tau_tables(rs: RootSystem) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     n, N = rs.rank, rs.n_positive
     vertex_of_simple = {pos: i for i, pos in enumerate(rs.simple_positions)}
     out = []
-    for part in (rs.datum.iplus, rs.datum.iminus):
+    for part in _bipartition(rs.rank, rs.edges):
         sigma = rs.identity_table()
         for i in sorted(part):
             s = rs.simple_tables[i]

@@ -63,7 +63,7 @@ class RootPoset:
         full = (1 << n) - 1
         self.incomparable = [full ^ (x | y) for x, y in zip(above, below)]
         self.edge_list = sorted(
-            e for e in rs.datum.edges if e[0] in self.nodes and e[1] in self.nodes
+            e for e in rs.edges if e[0] in self.nodes and e[1] in self.nodes
         )
         edge_pos = {e: i for i, e in enumerate(self.edge_list)}
         self.simple_mask = 0
@@ -170,7 +170,7 @@ def p_polynomial_mobius(rs: RootSystem) -> BiPoly:
     so their Narayana polynomials multiply.  Every term is a count, so the
     sum runs over integer coefficient lists, one per distinct component.
     """
-    edges = list(rs.datum.edges)
+    edges = list(rs.edges)
     n_edges = len(edges)
     narayana: Dict[frozenset, list] = {}
     total = [0] * (rs.rank + 1)

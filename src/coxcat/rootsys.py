@@ -6,6 +6,9 @@ integer components); I2(m) is represented without coordinates at all, as a
 permutation action on 2m rays.  Coordinates only ever meet ring operations:
 sums, differences, products and sign tests.
 
+A RootSystem is built from its label alone and carries its diagram: the
+Coxeter diagram edges and, except for I2(m), the Cartan matrix.
+
 Positive roots are generated by closing the simple roots under the simple
 reflections and sorted by (height, coordinates), so every index-based
 structure downstream is deterministic.  Each simple reflection is stored as
@@ -23,7 +26,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import InternalError, UsageError
 from .exact import GoldenNumber, PHI, conjugate_partition
@@ -136,63 +139,6 @@ def orbits(items, moves) -> list:
     return out
 
 
-def _bipartition(n: int, edges: list) -> Tuple[frozenset, frozenset]:
-    """Two-colour the (tree) diagram, node 0 in the plus part."""
-    neighbours = {i: [] for i in range(n)}
-    for (i, j) in edges:
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    # a tree reaches each node once, with one colour
-    coloured = orbit([(0, 0)], lambda node: [(j, 1 - node[1]) for j in neighbours[node[0]]])
-    if len(coloured) != n:
-        raise InternalError("Coxeter diagram is not connected")
-    plus = frozenset(i for i, c in coloured if c == 0)
-    minus = frozenset(range(n)) - plus
-    return plus, minus
-
-
-class CartanDatum(NamedTuple):
-    label: str
-    family: str
-    rank: int
-    edges: tuple
-    m: Optional[int]  # the dihedral order of I2(m), None for the other families
-    cartan: Optional[tuple]
-    iplus: frozenset
-    iminus: frozenset
-    crystallographic: bool
-
-
-def _make_datum(label: str) -> CartanDatum:
-    family, n, m = parse_label(label)
-    if family == "I":
-        return CartanDatum(
-            label=f"I2({m})",
-            family="I",
-            rank=2,
-            edges=((0, 1),),
-            m=m,
-            cartan=None,
-            iplus=frozenset({0}),
-            iminus=frozenset({1}),
-            crystallographic=False,
-        )
-    edges = sorted(tuple(sorted(e)) for e in _diagram_edges(family, n))
-    cartan = _cartan_matrix(family, n, edges)
-    plus, minus = _bipartition(n, edges)
-    return CartanDatum(
-        label=f"{family}{n}",
-        family=family,
-        rank=n,
-        edges=tuple(edges),
-        m=None,
-        cartan=tuple(tuple(r) for r in cartan),
-        iplus=plus,
-        iminus=minus,
-        crystallographic=family != "H",
-    )
-
-
 def _zero_like(family: str):
     return GoldenNumber(0) if family == "H" else 0
 
@@ -205,14 +151,13 @@ def _simple_image(cartan, coords: tuple, i: int) -> tuple:
     return tuple(out)
 
 
-def _close_positive_roots(datum: CartanDatum) -> dict:
+def _close_positive_roots(family: str, n: int, cartan: tuple) -> dict:
     """Each positive root's coordinates, mapped to its n simple-reflection images.
 
     Every root is closed over once, so each image is computed once here and
     the permutation tables are read off these images.
     """
-    n = datum.rank
-    zero = _zero_like(datum.family)
+    zero = _zero_like(family)
     one = zero + 1
     simples = []
     for i in range(n):
@@ -222,7 +167,7 @@ def _close_positive_roots(datum: CartanDatum) -> dict:
     images = {}
 
     def moves(coords):
-        row = tuple(_simple_image(datum.cartan, coords, i) for i in range(n))
+        row = tuple(_simple_image(cartan, coords, i) for i in range(n))
         images[coords] = row
         # s_i moves only coordinate i, so only that one can turn negative
         return [image for i, image in enumerate(row) if image[i] >= 0]
@@ -232,30 +177,34 @@ def _close_positive_roots(datum: CartanDatum) -> dict:
 
 
 class RootSystem:
-    """A finite root system plus its simple-reflection permutation tables.
+    """A finite root system, its diagram and its simple-reflection permutation tables.
 
     Roots are indexed 0..2N-1: positives in canonical order first, then the
     negative of positive j at index N + j.
     """
 
-    def __init__(self, datum: CartanDatum):
-        self.datum = datum
-        self.label = datum.label
-        self.family = datum.family
-        self.rank = datum.rank
-        self.crystallographic = datum.crystallographic
-        self.m = datum.m
-        if datum.family == "I":
+    def __init__(self, label: str):
+        family, n, m = parse_label(label)
+        self.family = family
+        self.rank = n
+        self.m = m  # the dihedral order of I2(m), None for the other families
+        self.crystallographic = family not in ("H", "I")
+        if family == "I":
+            self.label = f"I2({m})"
+            self.edges = ((0, 1),)
+            self.cartan = None
             self._build_dihedral()
         else:
+            self.label = f"{family}{n}"
+            self.edges = tuple(sorted(tuple(sorted(e)) for e in _diagram_edges(family, n)))
+            self.cartan = tuple(map(tuple, _cartan_matrix(family, n, self.edges)))
             self._build_coordinates()
         self._validate()
 
     # -- construction ------------------------------------------------------
 
     def _build_coordinates(self) -> None:
-        datum = self.datum
-        images = _close_positive_roots(datum)
+        images = _close_positive_roots(self.family, self.rank, self.cartan)
         positives = sorted(images, key=lambda c: (sum(c[1:], start=c[0]), c))
         n_pos = len(positives)
         self.positive_roots = tuple(positives)
@@ -342,7 +291,7 @@ class RootSystem:
 
     def _support_connected(self, support: frozenset) -> bool:
         """One orbit along the diagram edges inside the support covers it."""
-        edges = [(a, b) for (a, b) in self.datum.edges if a in support and b in support]
+        edges = [(a, b) for (a, b) in self.edges if a in support and b in support]
         reached = orbit(
             sorted(support)[:1], lambda i: [b if a == i else a for (a, b) in edges if i in (a, b)]
         )
@@ -360,13 +309,6 @@ class RootSystem:
         for e in self.exponents:
             w *= e + 1
         return w
-
-    def root_coords(self, x: int) -> tuple:
-        """Coordinates of root index x (negatives are negated positives)."""
-        N = self.n_positive
-        if x < N:
-            return self.positive_roots[x]
-        return tuple(-c for c in self.positive_roots[x - N])
 
     def root_index(self, coords: tuple) -> int:
         return self._index[coords]
@@ -409,4 +351,4 @@ class RootSystem:
 @lru_cache(maxsize=None)
 def build_root_system(label: str) -> RootSystem:
     """Construct (and cache) the root system for a type label like "B3"."""
-    return RootSystem(_make_datum(label))
+    return RootSystem(label)

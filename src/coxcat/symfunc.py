@@ -372,7 +372,7 @@ def calibrate_sigma_t_lie(oracle_max_n: int = ORACLE_MAX_N) -> dict:
 
 
 @command_cache
-def calibrated_bundle(truncation: int = 7) -> SeriesBundle:
+def calibrated_bundle(truncation: int) -> SeriesBundle:
     return make_bundle(truncation, calibrate_sigma_t_lie()["twist"])
 
 

@@ -222,6 +222,11 @@ def test_usage_errors_exit_two(capsys):
         # series truncations beyond the degree bound
         ("gerst", "--max-degree", "25"),
         ("verify", "all", "A3", "--max-degree", "100"),
+        # degrees int() would convert but that are not plain ASCII digits
+        ("gerst", "--max-degree", "\u0663"),  # an Arabic-Indic three
+        ("verify", "all", "A3", "--max-degree", "1_0"),
+        ("gerst", "--max-degree", " 3 "),
+        ("gerst", "--max-degree", "+3"),
     ],
 )
 def test_out_of_range_requests_exit_two_in_one_line(argv):

@@ -8,6 +8,7 @@ import pytest
 
 from coxcat import kernels
 from coxcat.cluster import (
+    _bipartition,
     _tau_tables,
     ClusterComplex,
     compatibility_degree,
@@ -36,7 +37,7 @@ def test_tau_maps_are_involutions():
 def reference_sigma_tables(label):
     rs = build_root_system(label)
     out = []
-    for part in (rs.datum.iplus, rs.datum.iminus):
+    for part in _bipartition(rs.rank, rs.edges):
         table = rs.identity_table()
         for i in sorted(part):
             s = rs.simple_tables[i]
@@ -46,7 +47,7 @@ def reference_sigma_tables(label):
 
 
 def reference_tau_map(rs, eps, v):
-    part = rs.datum.iplus if eps > 0 else rs.datum.iminus
+    part = _bipartition(rs.rank, rs.edges)[0 if eps > 0 else 1]
     sigma = reference_sigma_tables(rs.label)[0 if eps > 0 else 1]
     n, N = rs.rank, rs.n_positive
     if v < n:

@@ -185,7 +185,7 @@ def test_root_poset_matches_flagged_walk(label):
 def test_e8_mobius_parabolics_match_flagged_walk():
     # the proper parabolic sub-posets p_polynomial_mobius(E8) tallies
     rs = build_root_system("E8")
-    edges = list(rs.datum.edges)
+    edges = list(rs.edges)
     components = set()
     for picked in range(1 << len(edges)):
         subset = [e for i, e in enumerate(edges) if (picked >> i) & 1]

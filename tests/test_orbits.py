@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coxcat.poset as poset_module
+from coxcat.cluster import _bipartition
 from coxcat.errors import CheckFailed, InternalError
 from coxcat.groups import (
     _cycle_type_a,
@@ -32,9 +33,7 @@ from coxcat.poset import (
     generalized_catalan,
 )
 from coxcat.rootsys import (
-    _bipartition,
     _close_positive_roots,
-    _make_datum,
     _simple_image,
     _zero_like,
     build_root_system,
@@ -296,25 +295,26 @@ def test_flat_lattice_matches_the_hand_written_closure(label):
 
 @pytest.mark.parametrize("label", KNOWN_LABELS + ["A11", "D10"])
 def test_root_closure_bipartition_and_supports_match_the_hand_written_walks(label):
-    datum = _make_datum(label)
     rs = build_root_system(label)
-    if datum.cartan is not None:
-        assert _close_positive_roots(datum) == reference_close_positive_roots(datum)
-        assert _bipartition(datum.rank, list(datum.edges)) == reference_bipartition(
-            datum.rank, list(datum.edges)
+    if rs.cartan is not None:
+        assert _close_positive_roots(rs.family, rs.rank, rs.cartan) == (
+            reference_close_positive_roots(rs)
         )
-    for size in range(datum.rank + 1):
-        for support in map(frozenset, itertools.combinations(range(datum.rank), size)):
+        assert _bipartition(rs.rank, list(rs.edges)) == reference_bipartition(
+            rs.rank, list(rs.edges)
+        )
+    for size in range(rs.rank + 1):
+        for support in map(frozenset, itertools.combinations(range(rs.rank), size)):
             assert rs._support_connected(support) == reference_support_connected(
-                datum.edges, support
+                rs.edges, support
             ), sorted(support)
 
 
 @pytest.mark.parametrize("label", DIAGRAM_LABELS)
 def test_components_and_bipartition_match_on_every_edge_subset(label):
-    datum = _make_datum(label)
-    n = datum.rank
-    for edges in edge_subsets(list(datum.edges)):
+    rs = build_root_system(label)
+    n = rs.rank
+    for edges in edge_subsets(list(rs.edges)):
         assert _components(n, edges) == reference_components(n, edges)
         try:
             expected = reference_bipartition(n, edges)

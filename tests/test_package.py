@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -105,16 +106,20 @@ def test_a_command_loads_only_the_modules_it_runs(argv):
 # -- value types -------------------------------------------------------------
 
 
+# each case's id is fixed, so it keeps its name when another is added or removed
 @pytest.mark.parametrize(
     "module, name, fields",
     [
-        ("groups", "ConjugacyClass", ("rep", "size", "label")),
-        ("rootsys", "CartanDatum", ("label", "family", "rank", "edges", "m", "cartan", "iplus",
-                                    "iminus", "crystallographic")),
-        ("poset", "AntichainTally", ("counts", "n_edges")),
-        ("osalgebra", "FlatLattice", ("masks", "ranks", "lower")),
-        ("osalgebra", "GradedCharacter", ("rs", "classes", "chars", "dims")),
-        ("symfunc", "SeriesBundle", ("truncation", "twist", "com", "lie", "gerst")),
+        pytest.param("groups", "ConjugacyClass", ("rep", "size", "label"),
+                     id="groups-ConjugacyClass-fields0"),
+        pytest.param("poset", "AntichainTally", ("counts", "n_edges"),
+                     id="poset-AntichainTally-fields2"),
+        pytest.param("osalgebra", "FlatLattice", ("masks", "ranks", "lower"),
+                     id="osalgebra-FlatLattice-fields3"),
+        pytest.param("osalgebra", "GradedCharacter", ("rs", "classes", "chars", "dims"),
+                     id="osalgebra-GradedCharacter-fields4"),
+        pytest.param("symfunc", "SeriesBundle", ("truncation", "twist", "com", "lie", "gerst"),
+                     id="symfunc-SeriesBundle-fields5"),
     ],
 )
 def test_value_types_keep_their_fields_in_order(module, name, fields):
@@ -254,3 +259,67 @@ def test_every_definition_in_src_has_a_caller_in_src():
     }
     found = [name for _, name in unused_definitions(sources)]
     assert sorted(found) == sorted(UNCALLED_ON_PURPOSE)
+
+
+# Methods read by no line of src/, each kept for a caller outside it.
+UNREAD_METHODS_ON_PURPOSE = {
+    "_Parser.error": "argparse calls it to report a malformed command line",
+}
+
+
+def names_read(tree: ast.AST) -> Counter:
+    """How often each name is read under tree, as a bare name or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def unused_methods(sources: dict) -> list:
+    """"Class.name" of each non-dunder method or property of a module-level
+    class whose name is read nowhere outside its own body.
+
+    sources maps module names to their text.  A read is a bare name or an
+    attribute (`rs.neg`, `self._validate`), of any object: the scan matches
+    names, not types.
+    """
+    trees = [ast.parse(text) for text in sources.values()]
+    read = sum(map(names_read, trees), Counter())
+    return sorted(
+        f"{cls.name}.{node.name}"
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and read[node.name] == names_read(node)[node.name]
+    )
+
+
+def test_the_unused_method_scan_sees_attributes_names_and_skips_own_bodies():
+    sources = {
+        "a": "class Thing:\n"
+        "    def __init__(self): self.ready = self.setup()\n"
+        "    def setup(self): return True\n"
+        "    def dead(self): pass\n"
+        "    def recursive(self, n): return self.recursive(n - 1)\n"
+        "    @property\n"
+        "    def size(self): return 1\n"
+        "    @property\n"
+        "    def unread(self): return 2\n"
+        "    def via_class(self): pass\n"
+        "    def bare(self): pass\n"
+        "    def stored_over(self): pass\n",
+        "b": "from .a import Thing\n"
+        "def caller(t, bare): t.stored_over = 1; return t.size, Thing.via_class, bare\n",
+    }
+    assert unused_methods(sources) == [
+        "Thing.dead", "Thing.recursive", "Thing.stored_over", "Thing.unread"
+    ]
+
+
+def test_every_method_in_src_is_read_in_src():
+    sources = {p.stem: p.read_text() for p in (SRC / "coxcat").glob("*.py")}
+    assert unused_methods(sources) == sorted(UNREAD_METHODS_ON_PURPOSE)

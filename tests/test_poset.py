@@ -265,7 +265,7 @@ def test_incomparability_matches_the_pairwise_reference(label):
 
 def test_e8_parabolic_incomparability_matches_the_pairwise_reference():
     rs = build_root_system("E8")
-    edges = list(rs.datum.edges)
+    edges = list(rs.edges)
     components = set()
     for picked in range(1 << len(edges)):
         subset = [e for i, e in enumerate(edges) if (picked >> i) & 1]
@@ -279,7 +279,7 @@ def test_e8_parabolic_incomparability_matches_the_pairwise_reference():
 # The sum the integer coefficient lists replaced: every term a product of
 # Fraction-valued BiPoly Narayana polynomials.
 def reference_p_polynomial_mobius(rs):
-    edges = list(rs.datum.edges)
+    edges = list(rs.edges)
     total = BiPoly.zero()
     for picked in range(1 << len(edges)):
         subset = [e for i, e in enumerate(edges) if (picked >> i) & 1]

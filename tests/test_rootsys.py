@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from coxcat.cluster import _bipartition
 from coxcat.errors import UsageError
 from coxcat.exact import GoldenNumber
 from coxcat.groups import generate_group
@@ -98,7 +99,6 @@ def test_closure_is_order_independent():
     # rebuild the positive system processing candidates in reversed order
     for label in ("A3", "B3", "D4", "F4", "G2", "H3"):
         rs = build_root_system(label)
-        datum = rs.datum
         n = rs.rank
         zero = rs.positive_roots[0][0] * 0
         one = zero + 1
@@ -113,8 +113,8 @@ def test_closure_is_order_independent():
             coords = queue.pop(0)  # FIFO instead of LIFO
             for i in reversed(range(n)):
                 pairing = sum(
-                    (datum.cartan[i][k] * coords[k] for k in range(1, n)),
-                    start=datum.cartan[i][0] * coords[0],
+                    (rs.cartan[i][k] * coords[k] for k in range(1, n)),
+                    start=rs.cartan[i][0] * coords[0],
                 )
                 image = tuple(
                     c - pairing * (one if k == i else zero)
@@ -225,6 +225,47 @@ def test_i2_datum_only_model():
     assert rs.order == 18
 
 
+# Each diagram's two-colouring (plus part, minus part), node 0 in the plus part.
+EXPECTED_BIPARTITION = {
+    "A1": ({0}, set()),
+    "A2": ({0}, {1}),
+    "A3": ({0, 2}, {1}),
+    "A4": ({0, 2}, {1, 3}),
+    "A5": ({0, 2, 4}, {1, 3}),
+    "A6": ({0, 2, 4}, {1, 3, 5}),
+    "B2": ({0}, {1}),
+    "B3": ({0, 2}, {1}),
+    "B4": ({0, 2}, {1, 3}),
+    "B5": ({0, 2, 4}, {1, 3}),
+    "D4": ({0, 2, 3}, {1}),
+    "D5": ({0, 2}, {1, 3, 4}),
+    "D6": ({0, 2, 4, 5}, {1, 3}),
+    "E6": ({0, 3, 5}, {1, 2, 4}),
+    "E7": ({0, 3, 5}, {1, 2, 4, 6}),
+    "E8": ({0, 3, 5, 7}, {1, 2, 4, 6}),
+    "F4": ({0, 2}, {1, 3}),
+    "G2": ({0}, {1}),
+    "I2(7)": ({0}, {1}),
+}
+
+
+def test_a_root_system_carries_its_diagram_itself():
+    d4 = build_root_system("D4")
+    assert d4.edges == ((0, 1), (1, 2), (1, 3))
+    assert d4.cartan[3][1] == -1
+    i27 = build_root_system("I2(7)")
+    assert i27.edges == ((0, 1),)
+    assert i27.cartan is None
+    for label in ALL_TABLE_TYPES:
+        assert not hasattr(build_root_system(label), "datum"), label
+
+
+@pytest.mark.parametrize("label", sorted(EXPECTED_BIPARTITION))
+def test_the_diagram_bipartition_is_unchanged(label):
+    rs = build_root_system(label)
+    assert _bipartition(rs.rank, rs.edges) == EXPECTED_BIPARTITION[label]
+
+
 # The engine conjugation replaced: s_beta(u) = u - 2 (u, beta) / (beta, beta) beta
 # on coordinates, with the invariant form read off the Cartan matrix and the
 # half squared lengths of the simple roots, over the rationals or Q(phi), and
@@ -261,7 +302,7 @@ def reference_reflection_of_root(rs, j):
         return tuple((m - 2 * r - x) % (2 * m) for x in range(2 * m))
     beta = rs.positive_roots[j]
     d = _ref_symmetrizer(rs.family, rs.rank)
-    cartan = rs.datum.cartan
+    cartan = rs.cartan
 
     def inner(u, v):
         total = cartan[0][0] * 0
@@ -271,9 +312,10 @@ def reference_reflection_of_root(rs, j):
         return total
 
     norm = inner(beta, beta)
+    N = rs.n_positive
     table = []
-    for x in range(2 * rs.n_positive):
-        u = rs.root_coords(x)
+    for x in range(2 * N):
+        u = rs.positive_roots[x] if x < N else tuple(-c for c in rs.positive_roots[x - N])
         if rs.crystallographic:
             frac = Fraction(2 * inner(u, beta)) / norm
             assert frac.denominator == 1, "non-integral reflection coefficient"
@@ -333,13 +375,13 @@ def test_dihedral_reflections_are_the_group_elements_negating_one_root():
 # The table build the negation fill replaced: all 2N entries of each simple
 # reflection's table computed from coordinates and looked up.
 def reference_simple_tables(rs):
-    cartan = rs.datum.cartan
-    n = rs.rank
+    cartan = rs.cartan
+    n, N = rs.rank, rs.n_positive
     out = []
     for i in range(n):
         table = []
-        for x in range(2 * rs.n_positive):
-            coords = rs.root_coords(x)
+        for x in range(2 * N):
+            coords = rs.positive_roots[x] if x < N else tuple(-c for c in rs.positive_roots[x - N])
             pairing = sum(
                 (cartan[i][k] * coords[k] for k in range(1, n)),
                 start=cartan[i][0] * coords[0],
