@@ -153,7 +153,7 @@ def cmd_fpoly(args) -> int:
     from .rootsys import build_root_system
 
     rs = build_root_system(args.type)
-    complex_ = ClusterComplex(rs, allow_large=args.allow_large)
+    complex_ = ClusterComplex(rs)
     f_poly = complex_.f_tally()
     n_max, min_size = complex_.maximal_face_count()
     if args.json:
@@ -322,7 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fpoly = sub.add_parser("fpoly", help="cluster complex face polynomial")
     p_fpoly.add_argument("type", metavar="TYPE")
     p_fpoly.add_argument("--json", action="store_true")
-    p_fpoly.add_argument("--allow-large", action="store_true")
+    p_fpoly.add_argument(
+        "--allow-large",
+        action="store_true",
+        help="accepted for compatibility; has no effect, the Catalan budget always holds",
+    )
     p_fpoly.set_defaults(func=cmd_fpoly)
 
     p_os = sub.add_parser("os-character", help="graded arrangement characters")
@@ -343,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--allow-large",
         action="store_true",
-        help="accepted for symmetry with fpoly; has no effect on checks",
+        help="accepted for compatibility; has no effect, the Catalan budget always holds",
     )
     p_verify.set_defaults(func=cmd_verify)
 

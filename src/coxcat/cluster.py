@@ -9,7 +9,8 @@ are compatible when both mutual compatibility degrees vanish, and the faces
 of the complex are exactly the cliques of that relation.  The face
 polynomial F comes from the clique tally; the maximal faces (the clusters)
 from a separate pivoted walk over the same graph, and they must number
-Cat(W).
+Cat(W).  The complex is built under the same Catalan budget as the root
+poset's antichains, which also number Cat(W), with no override.
 """
 
 from __future__ import annotations
@@ -134,13 +135,13 @@ class ClusterComplex:
     """Compatibility graph of a crystallographic root system.
 
     F is read off the clique tally; the maximal faces are counted by
-    kernels.maximal_cliques.
+    kernels.maximal_cliques.  Refused (CapacityExceeded) when Cat(W), the
+    number of clusters, exceeds the enumeration budget.
     """
 
-    def __init__(self, rs: RootSystem, allow_large: bool = False):
+    def __init__(self, rs: RootSystem):
         _check_crystallographic(rs)
-        if not allow_large:
-            check_catalan_budget(rs)
+        check_catalan_budget(rs)
         self.rs = rs
         n_vertices = vertex_count(rs)
         self.n_vertices = n_vertices
@@ -168,9 +169,9 @@ class ClusterComplex:
         return kernels.maximal_cliques(self.adjacency)
 
 
-def f_polynomial(rs: RootSystem, allow_large: bool = False) -> BiPoly:
+def f_polynomial(rs: RootSystem) -> BiPoly:
     """F(x, y) = sum of x^(positive vertices) y^(negative simples) over faces."""
-    return ClusterComplex(rs, allow_large=allow_large).f_tally()
+    return ClusterComplex(rs).f_tally()
 
 
 def verify_hf_conjecture(rs: RootSystem) -> dict:

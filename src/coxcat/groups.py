@@ -49,10 +49,6 @@ class GroupData:
         self.elements = elements
         self.classes = classes
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
 
 @command_cache
 def generate_group(rs: RootSystem) -> GroupData:
@@ -193,14 +189,11 @@ def check_B_lemma(rs: RootSystem, group: GroupData) -> dict:
     """chi_R(g) != 0 iff g has a positive 1-cycle or positive 2-cycle."""
     if rs.family != "B":
         raise ValueError(f"{rs.label}: the signed-cycle lemma is about type B")
-    values = chi_R(rs, group.classes)
-    checked = []
-    for cls, value in zip(group.classes, values):
+    for cls, value in zip(group.classes, chi_R(rs, group.classes)):
         expected = has_positive_short_cycle(cls.label)
         if (value != 0) != expected:
             raise CheckFailed(
                 f"{rs.label} class {cls.label}: chi_R = {value}, "
                 f"positive 1/2-cycle = {expected}"
             )
-        checked.append((cls.label, value))
-    return {"classes": len(checked), "values": checked}
+    return {"classes": len(group.classes)}

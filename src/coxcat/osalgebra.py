@@ -386,7 +386,6 @@ def verify_main_conjecture(rs: RootSystem) -> dict:
     gc = os_graded_character(rs)
     f_count = rs.full_reflection_count()
     sign = (-1) ** (rs.rank - 1)
-    rows = []
     for index, (cls, r_val, gp_val) in enumerate(
         zip(gc.classes, chi_R(rs, gc.classes), g_prime_character(gc))
     ):
@@ -397,8 +396,7 @@ def verify_main_conjecture(rs: RootSystem) -> dict:
             raise CheckFailed(
                 f"{rs.label} class {cls.describe()}: chi_R*chi_G' = {lhs} != {rhs}"
             )
-        rows.append((cls.describe(), r_val, gp_val, lhs))
-    return {"classes": len(rows), "f_count": f_count, "rows": rows}
+    return {"classes": len(gc.classes), "f_count": f_count}
 
 
 def check_dimension_identity(rs: RootSystem) -> dict:

@@ -24,10 +24,12 @@ from .errors import CapacityExceeded, CheckFailed, InternalError, UsageError
 from .exact import BiPoly, command_cache, int_poly_mul
 from .rootsys import RootSystem, orbit, orbits
 
-# Both antichains and clusters number Cat(W).  Every exceptional type fits
-# (Cat(E8) = 25,080), and so do A11, B10, C10 and D10; the largest admitted,
-# A11 (208,012), runs `verify all` in about 2 s and 29 MB on 2 vCPUs.
-_CATALAN_BUDGET = 250_000
+# Both antichains and clusters number Cat(W), and this one budget caps both,
+# with no override.  Every exceptional type fits (Cat(E8) = 25,080), and so
+# do A12, B11, C11 and D11; the largest admitted, A12 (742,900), runs
+# `verify all` in about 4.6 s (4.4-5.1 s) and 50 MB, and `fpoly` in 4.5 s
+# and 35 MB, on 2 vCPUs under Python 3.11.
+_CATALAN_BUDGET = 1_000_000
 
 
 class RootPoset:

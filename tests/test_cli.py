@@ -191,7 +191,7 @@ def test_usage_errors_exit_two(capsys):
     assert "coxcat:" in err
     code, _, err = run_cli(capsys, "verify", "main", "E8")
     assert code == 2
-    code, _, err = run_cli(capsys, "verify", "hf", "D11")
+    code, _, err = run_cli(capsys, "verify", "hf", "D12")
     assert code == 2
     code, _, err = run_cli(capsys, "fpoly", "I2(5)")
     assert code == 2  # non-crystallographic
@@ -200,7 +200,7 @@ def test_usage_errors_exit_two(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("antichains", "A12"),
+        ("antichains", "A13"),
         ("gerst", "--max-degree", "0"),
         ("gerst", "--max-degree", "-1"),
         ("verify", "gerst", "A2", "--max-degree", "0"),
@@ -261,14 +261,26 @@ def test_largest_admitted_labels_run():
     assert all(row.endswith("ok") for row in rows)
 
 
-def test_fpoly_allow_large_override(capsys):
-    # Cat(D11) = 520676 is over the Catalan budget
-    code, _, _ = run_cli(capsys, "fpoly", "D11", "--json")
-    assert code == 2
-    code, out, _ = run_cli(capsys, "fpoly", "D11", "--allow-large", "--json")
+def test_fpoly_allow_large_has_no_effect(capsys):
+    # Cat(D11) = 520676 is inside the Catalan budget, and no flag is needed
+    code, out, _ = run_cli(capsys, "fpoly", "D11", "--json")
     assert code == 0
-    data = json.loads(out)
-    assert data["maximal_faces"] == 520676
+    assert json.loads(out)["maximal_faces"] == 520676
+    plain = run_cli(capsys, "fpoly", "A3", "--json")
+    assert plain[0] == 0
+    assert run_cli(capsys, "fpoly", "A3", "--json", "--allow-large") == plain
+    # Cat(D12) = 1998724 is over it, with or without the flag
+    refused = run_cli(capsys, "fpoly", "D12")
+    assert refused[:2] == (2, "")
+    assert refused[2].startswith("coxcat: ") and refused[2].count("\n") == 1, refused
+    assert run_cli(capsys, "fpoly", "D12", "--allow-large") == refused
+
+
+def test_antichains_reach_the_catalan_budget(capsys):
+    # Cat(D11) = 520676 antichains, refused under the former budget of 250000
+    code, out, _ = run_cli(capsys, "antichains", "D11", "--json")
+    assert code == 0
+    assert json.loads(out)["total"] == 520676
 
 
 @pytest.mark.parametrize("label", ["E7", "E8", "A9"])
@@ -282,13 +294,13 @@ def test_verify_all_runs_enumerations_up_to_the_catalan_budget(capsys, label):
 
 
 def test_verify_all_notes_the_catalan_budget_beyond_it(capsys):
-    code, out, _ = run_cli(capsys, "verify", "all", "A12", "--json")
+    code, out, _ = run_cli(capsys, "verify", "all", "A13", "--json")
     assert code == 0
     reports = {r["check"]: r for r in json.loads(out)["reports"]}
     for check in ("antichain-lemmas", "p-mobius", "hf"):
         note = reports[check]["details"]["note"]
         assert note.startswith("not applicable: outside oracle capacity"), note
-        assert "A12: Cat(W) = 742900 exceeds the enumeration budget 250000" in note
+        assert "A13: Cat(W) = 2674440 exceeds the enumeration budget 1000000" in note
 
 
 def test_max_degree_is_plumbed(capsys):

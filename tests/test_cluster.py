@@ -259,5 +259,5 @@ def test_cluster_count_must_be_catalan(monkeypatch):
 def test_large_rank_needs_flag():
     from coxcat.errors import CapacityExceeded
 
-    with pytest.raises(CapacityExceeded, match=r"A12: Cat\(W\) = 742900 exceeds"):
-        ClusterComplex(build_root_system("A12"))
+    with pytest.raises(CapacityExceeded, match=r"A13: Cat\(W\) = 2674440 exceeds"):
+        ClusterComplex(build_root_system("A13"))

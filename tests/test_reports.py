@@ -183,7 +183,9 @@ def test_table_prints_a_mismatch_and_exits_one(capsys, monkeypatch):
     assert code == 1
 
 
-@pytest.mark.parametrize("argv", [("verify", "hf", "E7"), ("verify", "all", "A11")])
+@pytest.mark.parametrize(
+    "argv", [("verify", "hf", "E7"), ("verify", "all", "A11"), ("fpoly", "E8", "--json")]
+)
 def test_allow_large_has_no_effect_on_checks(capsys, argv):
     plain = run_cli(capsys, *argv)
     assert plain[0] == 0
@@ -191,13 +193,13 @@ def test_allow_large_has_no_effect_on_checks(capsys, argv):
 
 
 def test_allow_large_does_not_lift_the_enumeration_budget(capsys):
-    code, out, err = run_cli(capsys, "verify", "hf", "D11", "--allow-large")
+    code, out, err = run_cli(capsys, "verify", "hf", "D12", "--allow-large")
     assert (code, out) == (2, "")
     assert err.startswith("coxcat: ") and err.count("\n") == 1, err
 
 
 def test_every_report_is_timed():
-    for report in run_all_checks("A12"):
+    for report in run_all_checks("A13"):
         assert isinstance(report.ms, float) and report.ms >= 0.0, report
 
 

@@ -195,7 +195,7 @@ def test_unsupported_labels_raise():
 def test_group_order_matches_generated_group_small_ranks():
     for label in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "G2", "H3", "I2(5)", "I2(9)"):
         rs = build_root_system(label)
-        assert generate_group(rs).order == rs.order
+        assert len(generate_group(rs).elements) == rs.order
 
 
 def test_h3_coordinates_are_golden():
