@@ -327,14 +327,6 @@ class BiPoly:
         raise AttributeError("BiPoly is immutable")
 
     @staticmethod
-    def zero() -> "BiPoly":
-        return BiPoly()
-
-    @staticmethod
-    def one() -> "BiPoly":
-        return BiPoly({(0, 0): 1})
-
-    @staticmethod
     def monomial(c: Scalar, k: int, l: int = 0) -> "BiPoly":
         return BiPoly({(k, l): c})
 

@@ -5,8 +5,8 @@ all 2N roots (positives first, negative of positive j at N + j).  A group
 is the orbit of the identity under the simple reflections; conjugacy
 classes are found by orbit partition under conjugation by the generators,
 and class labels from the cycles, again orbits, of a (signed) permutation.
-A group with more than 256 roots or more than 10,000 elements is refused
-before any element is built.
+A group whose element table, |W| tables of 2N entries, exceeds the group
+budget is refused before any element is built.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from .errors import CapacityExceeded, CheckFailed, InternalError
 from .exact import command_cache
 from .rootsys import RootSystem, orbit, orbits
 
-_ORDER_CAP = 10_000
-_ROOT_CAP = 256  # roots a group element may permute
+_GROUP_BUDGET = 1_000_000  # entries |W| * 2N of the element table
 
 
 def compose(g: tuple, h: tuple) -> tuple:
@@ -56,12 +55,11 @@ def generate_group(rs: RootSystem) -> GroupData:
 
     Cached per root system, which build_root_system caches per label.
     """
-    if 2 * rs.n_positive > _ROOT_CAP:
+    entries = rs.order * 2 * rs.n_positive
+    if entries > _GROUP_BUDGET:
         raise CapacityExceeded(
-            f"{rs.label}: {2 * rs.n_positive} roots exceed {_ROOT_CAP}"
+            f"{rs.label}: |W| * 2N = {entries} exceeds the group budget {_GROUP_BUDGET}"
         )
-    if rs.order > _ORDER_CAP:
-        raise CapacityExceeded(f"{rs.label}: |W| = {rs.order} exceeds {_ORDER_CAP}")
     gens = rs.simple_tables
     identity = rs.identity_table()
     seen = orbit([identity], lambda g: [compose(s, g) for s in gens])
@@ -185,15 +183,16 @@ def has_positive_short_cycle(label: Tuple[tuple, tuple]) -> bool:
     return 1 in positive or 2 in positive
 
 
-def check_B_lemma(rs: RootSystem, group: GroupData) -> dict:
+def check_B_lemma(rs: RootSystem) -> dict:
     """chi_R(g) != 0 iff g has a positive 1-cycle or positive 2-cycle."""
     if rs.family != "B":
         raise ValueError(f"{rs.label}: the signed-cycle lemma is about type B")
-    for cls, value in zip(group.classes, chi_R(rs, group.classes)):
+    classes = generate_group(rs).classes
+    for cls, value in zip(classes, chi_R(rs, classes)):
         expected = has_positive_short_cycle(cls.label)
         if (value != 0) != expected:
             raise CheckFailed(
                 f"{rs.label} class {cls.label}: chi_R = {value}, "
                 f"positive 1/2-cycle = {expected}"
             )
-    return {"classes": len(group.classes)}
+    return {"classes": len(classes)}

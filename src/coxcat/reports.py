@@ -234,10 +234,10 @@ def _run_main(rs, report, max_degree) -> None:
 def _run_b_lemmas(rs, report, max_degree) -> None:
     if rs.family != "B":
         return _not_applicable(report, "stated for the signed-permutation types B")
-    from .groups import check_B_lemma, generate_group
+    from .groups import check_B_lemma
     from .osalgebra import check_B_gprime_lemma
 
-    report.details["classes"] = check_B_lemma(rs, generate_group(rs))["classes"]
+    report.details["classes"] = check_B_lemma(rs)["classes"]
     report.details["vanishing_checked"] = check_B_gprime_lemma(rs)["vanishing_checked"]
 
 

@@ -329,28 +329,28 @@ def _symmetric_group_oracle(n: int) -> ClassValues:
 ORACLE_MAX_N = 4  # the S_n oracles of the calibration run up to this degree
 
 
-def calibrate_sigma_t_lie(oracle_max_n: int = ORACLE_MAX_N) -> dict:
+def calibrate_sigma_t_lie() -> dict:
     """Pick the Lie-series sign variant that reproduces the S_n oracle.
 
     Both the plain formula and its omega-twist are expanded into Gerst at
-    truncation oracle_max_n, and each expansion must equal the plethysm
+    truncation ORACLE_MAX_N, and each expansion must equal the plethysm
     Com o Lie, the definition the recurrence replaces; the class values in
-    degrees n = 2 .. oracle_max_n are compared with the reflection-arrangement
+    degrees n = 2 .. ORACLE_MAX_N are compared with the reflection-arrangement
     characters of S_n.  A graded part of degree n does not depend on the
     truncation once it is at least n, so the decision holds for every
     truncation.  Exactly one variant must survive.
     """
-    degrees = list(range(2, oracle_max_n + 1))
-    surviving = {twist: make_bundle(oracle_max_n, twist) for twist in (False, True)}
+    degrees = list(range(2, ORACLE_MAX_N + 1))
+    surviving = {twist: make_bundle(ORACLE_MAX_N, twist) for twist in (False, True)}
     for twist, bundle in surviving.items():
         com, lie, gerst = (
-            characteristic_map(values, oracle_max_n)
+            characteristic_map(values, ORACLE_MAX_N)
             for values in (bundle.com, bundle.lie, bundle.gerst)
         )
         if gerst != plethysm(com, lie):
             raise InternalError(
                 f"Gerst recurrence (twist={twist}) differs from plethysm(Com, Lie) "
-                f"at truncation {oracle_max_n}"
+                f"at truncation {ORACLE_MAX_N}"
             )
     detail = {}
     for n in degrees:

@@ -30,7 +30,7 @@ import pytest
 
 from coxcat.cluster import f_polynomial, verify_hf_conjecture
 from coxcat.exact import BiPoly, UniPoly, unipoly_divide_exact
-from coxcat.groups import check_B_lemma, chi_R, generate_group
+from coxcat.groups import check_B_lemma, chi_R
 from coxcat.osalgebra import (
     build_os_algebra,
     check_B_gprime_lemma,
@@ -219,7 +219,7 @@ def test_criterion_07_main_conjecture():
 def test_criterion_08_signed_cycle_lemmas():
     for label in ("B2", "B3", "B4"):
         rs = rs_for(label)
-        check_B_lemma(rs, generate_group(rs))
+        check_B_lemma(rs)
         check_B_gprime_lemma(rs)
     verdict(8, "chi_R support and chi_G' vanishing checked exhaustively for B2, B3, B4")
 
@@ -305,7 +305,7 @@ def test_criterion_09_dihedral_quotient_traces():
 
 def test_criterion_10_series_pipeline():
     start = time.monotonic()
-    decision = calibrate_sigma_t_lie(oracle_max_n=4)
+    decision = calibrate_sigma_t_lie()
     bundle = calibrated_bundle(9)
     verify_first_derivative_identities(bundle, 6)
     verify_second_derivative_identity(bundle, 6)

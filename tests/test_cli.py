@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import math
 import os
 import resource
 import subprocess
@@ -301,6 +302,39 @@ def test_verify_all_notes_the_catalan_budget_beyond_it(capsys):
         note = reports[check]["details"]["note"]
         assert note.startswith("not applicable: outside oracle capacity"), note
         assert "A13: Cat(W) = 2674440 exceeds the enumeration budget 1000000" in note
+
+
+def test_os_character_runs_past_the_former_root_cap(capsys):
+    # I2(129) has 258 roots, refused under the former cap of 256 roots
+    code, out, err = run_cli(capsys, "os-character", "I2(129)", "--json")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["classes"]) == 66
+
+
+def test_verify_main_runs_up_to_the_group_budget(capsys):
+    # |W| * 2N = 1000 * 1000, the largest dihedral element table admitted
+    code, out, err = run_cli(capsys, "verify", "main", "I2(500)", "--json")
+    assert (code, err) == (0, "")
+    (report,) = json.loads(out)["reports"]
+    assert report["status"] == "pass"
+    assert (report["details"]["classes"], report["details"]["full_count"]) == (253, 498)
+
+
+def test_verify_main_refuses_a_group_over_the_budget(capsys):
+    assert run_cli(capsys, "verify", "main", "I2(501)") == (
+        2, "", "coxcat: I2(501): |W| * 2N = 1004004 exceeds the group budget 1000000\n"
+    )
+
+
+def test_verify_all_notes_the_group_budget_beyond_it(capsys):
+    code, out, _ = run_cli(capsys, "verify", "all", "A16", "--json")
+    assert code == 0
+    note = {r["check"]: r for r in json.loads(out)["reports"]}["main"]["details"]["note"]
+    entries = math.factorial(17) * 2 * 136
+    assert note == (
+        "not applicable: outside oracle capacity "
+        f"(A16: |W| * 2N = {entries} exceeds the group budget 1000000)"
+    )
 
 
 def test_max_degree_is_plumbed(capsys):

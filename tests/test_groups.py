@@ -47,7 +47,8 @@ def test_orders():
 
 
 def test_too_large_group_rejected():
-    with pytest.raises(CapacityExceeded, match=r"E6: \|W\| = 51840 exceeds 10000"):
+    message = r"E6: \|W\| \* 2N = 3732480 exceeds the group budget 1000000"
+    with pytest.raises(CapacityExceeded, match=message):
         generate_group(build_root_system("E6"))
 
 
@@ -127,17 +128,18 @@ def test_positive_short_cycle_predicate():
 def test_b_lemma_exhaustive(label):
     rs = build_root_system(label)
     group = generate_group(rs)
-    result = check_B_lemma(rs, group)
+    result = check_B_lemma(rs)
     assert result["classes"] == len(group.classes)
 
 
 def test_b_lemma_rejects_other_families():
     rs = build_root_system("A3")
     with pytest.raises(ValueError):
-        check_B_lemma(rs, generate_group(rs))
+        check_B_lemma(rs)
 
 
-# every type inside the group caps (|W| <= 10,000 and at most 256 roots)
+# every non-dihedral type inside the group budget (|W| * 2N <= 1,000,000), and
+# the dihedral types up to I2(128)
 GROUP_CAP_TYPES = (
     [f"A{n}" for n in range(1, 7)]
     + [f"B{n}" for n in range(2, 6)]

@@ -259,7 +259,8 @@ def test_fixed_flat_characters_equal_nbc_characters(label):
     assert flats.dims == nbc.dims
 
 
-# every type with |W| <= 10,000 (a sample of the dihedral ones), and E6
+# every non-dihedral type inside the group budget, a sample of the dihedral
+# ones, and E6
 FLAT_TYPES = [label for label in NBC_TYPES if not label.startswith("I2")] + [
     "I2(5)", "I2(8)", "I2(25)", "I2(26)", "I2(127)", "I2(128)", "E6",
 ]

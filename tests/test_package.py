@@ -276,16 +276,43 @@ def names_read(tree: ast.AST) -> Counter:
     )
 
 
+def owner_reads(tree: ast.AST) -> Counter:
+    """How often each "Owner.name" is read under tree."""
+    return Counter(
+        f"{n.value.id}.{n.attr}"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        and isinstance(n.value, ast.Name)
+    )
+
+
+def is_static_or_class(node: ast.FunctionDef) -> bool:
+    """A @staticmethod or @classmethod."""
+    return any(
+        isinstance(d, ast.Name) and d.id in ("staticmethod", "classmethod")
+        for d in node.decorator_list
+    )
+
+
 def unused_methods(sources: dict) -> list:
     """"Class.name" of each non-dunder method or property of a module-level
-    class whose name is read nowhere outside its own body.
+    class that is read nowhere outside its own body.
 
-    sources maps module names to their text.  A read is a bare name or an
-    attribute (`rs.neg`, `self._validate`), of any object: the scan matches
-    names, not types.
+    sources maps module names to their text.  A static or class method is read
+    only as `Owner.name`.  Any other method is read by a bare name or an
+    attribute (`rs.neg`, `self._validate`) of any object: for those the scan
+    matches names, not types.
     """
     trees = [ast.parse(text) for text in sources.values()]
     read = sum(map(names_read, trees), Counter())
+    read_off_owner = sum(map(owner_reads, trees), Counter())
+
+    def unread(cls: ast.ClassDef, node: ast.FunctionDef) -> bool:
+        if is_static_or_class(node):
+            key = f"{cls.name}.{node.name}"
+            return read_off_owner[key] == owner_reads(node)[key]
+        return read[node.name] == names_read(node)[node.name]
+
     return sorted(
         f"{cls.name}.{node.name}"
         for tree in trees
@@ -294,7 +321,7 @@ def unused_methods(sources: dict) -> list:
         for node in cls.body
         if isinstance(node, ast.FunctionDef)
         and not (node.name.startswith("__") and node.name.endswith("__"))
-        and read[node.name] == names_read(node)[node.name]
+        and unread(cls, node)
     )
 
 
@@ -318,6 +345,26 @@ def test_the_unused_method_scan_sees_attributes_names_and_skips_own_bodies():
     assert unused_methods(sources) == [
         "Thing.dead", "Thing.recursive", "Thing.stored_over", "Thing.unread"
     ]
+
+
+def test_the_unused_method_scan_reads_static_and_class_methods_off_their_owner():
+    sources = {
+        "a": "class Poly:\n"
+        "    @staticmethod\n"
+        "    def zero(): return Poly()\n"
+        "    @staticmethod\n"
+        "    def one(): return Poly.one()\n"
+        "    @classmethod\n"
+        "    def build(cls): return cls()\n"
+        "    @staticmethod\n"
+        "    def constant(c): return Poly()\n"
+        "class Other:\n"
+        "    @staticmethod\n"
+        "    def zero(): return Poly.constant(0)\n",
+        "b": "from .a import Other, Poly\n"
+        "def caller(p, one): return Other.zero(), p.build(), one\n",
+    }
+    assert unused_methods(sources) == ["Poly.build", "Poly.one", "Poly.zero"]
 
 
 def test_every_method_in_src_is_read_in_src():

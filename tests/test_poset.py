@@ -280,11 +280,11 @@ def test_e8_parabolic_incomparability_matches_the_pairwise_reference():
 # Fraction-valued BiPoly Narayana polynomials.
 def reference_p_polynomial_mobius(rs):
     edges = list(rs.edges)
-    total = BiPoly.zero()
+    total = BiPoly()
     for picked in range(1 << len(edges)):
         subset = [e for i, e in enumerate(edges) if (picked >> i) & 1]
         sign = (-1) ** (len(edges) - len(subset))
-        product = BiPoly.one()
+        product = BiPoly({(0, 0): 1})
         for component in _components(rs.rank, subset):
             nodes = None if len(component) == rs.rank else component
             product = product * narayana_polynomial(enumerate_antichains(rs, nodes))
