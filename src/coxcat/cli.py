@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from typing import List
 
-from .errors import UsageError
+from .errors import CheckFailed, UsageError
 from .exact import COMMAND_CACHES, centralizer_order, format_rational, partitions_of
 from .reports import CHECK_NAMES, jsonable, run_all_checks, run_check
 
@@ -269,18 +269,15 @@ def cmd_verify(args) -> int:
 # --max-degree 24` takes 2.8 s and 30 MB, 28 takes 6.7 s and 32 takes 23 s.
 _MAX_DEGREE = 24
 # ASCII digits only: int() would also take other scripts' digits, "_", "+"
-# and surrounding blanks
-_INTEGER_RE = re.compile(r"-?[0-9]+")
+# and surrounding blanks; and at most the 4,300 digits int() converts
+_INTEGER_RE = re.compile(r"-?[0-9]{1,4300}")
 
 
 def _positive_int(text: str) -> int:
     """argparse type for --max-degree: a series truncation in 1.._MAX_DEGREE."""
-    try:
-        if not _INTEGER_RE.fullmatch(text):
-            raise ValueError
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if not _INTEGER_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     if value > _MAX_DEGREE:
@@ -366,6 +363,9 @@ def main(argv: List[str] | None = None) -> int:
     except UsageError as exc:
         print(f"coxcat: {exc}", file=sys.stderr)
         return 2
+    except CheckFailed as exc:
+        print(f"coxcat: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # the reader closed the pipe (`coxcat ... | head`), which is no violation: exit
         # 128 + SIGPIPE as shells do, with fd 1 on devnull so the exit-time flush is quiet

@@ -15,12 +15,11 @@ poset's antichains, which also number Cat(W), with no override.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Tuple
 
 from . import kernels
 from .errors import CheckFailed, InternalError, UsageError
-from .exact import BiPoly, bipoly_substitute
+from .exact import BiPoly, bipoly_substitute, command_cache
 from .poset import (
     check_catalan_budget,
     enumerate_antichains,
@@ -90,7 +89,7 @@ def _tau_tables(rs: RootSystem) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return out[0], out[1]
 
 
-@lru_cache(maxsize=None)
+@command_cache
 def _compatibility_rows(rs: RootSystem) -> Tuple[bytes, ...]:
     """Row u holds the compatibility degree of u with every vertex v.
 

@@ -1,7 +1,15 @@
 """Exception types, one per exit code of the command line.
 
-UsageError (and its CapacityExceeded) means exit 2, CheckFailed exit 1;
-InternalError is a bug and propagates.
+Every `raise` in the package names one of these classes, apart from the
+command line's argparse type errors and the AttributeError that Python's
+attribute protocol expects from `__getattr__` and `__setattr__`:
+
+- `UsageError` (and its `CapacityExceeded`): the caller asked for something
+  the type or the arguments do not support; exit 2.
+- `CheckFailed`: a checked identity or lemma does not hold, and the message
+  carries the witness; exit 1, on every command.
+- `InternalError`: a bound or invariant the program guarantees failed; a
+  bug, so it propagates as a traceback.
 """
 
 

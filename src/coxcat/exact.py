@@ -17,14 +17,14 @@ from itertools import accumulate
 from math import comb
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Union
 
-from .errors import CheckFailed, InternalError
+from .errors import CheckFailed, InternalError, UsageError
 
 Scalar = Union[int, Fraction]
 
-# The memo tables of the artefacts one command line shares between its
-# checks, registered where they are defined; the CLI clears them before each
-# command line.  The list keeps the lru_cache objects themselves, so clearing
-# works whatever later rebinds the module attributes.
+# Every memo table in `src/`: the artefacts one command line shares between
+# its checks, registered where they are defined; the CLI clears them before
+# each command line.  The list keeps the lru_cache objects themselves, so
+# clearing works whatever later rebinds the module attributes.
 COMMAND_CACHES: List = []
 
 
@@ -273,7 +273,7 @@ class UniPoly:
 def unipoly_divide_exact(p: UniPoly, q: UniPoly) -> UniPoly:
     """Return p/q when q divides p exactly; raise CheckFailed otherwise."""
     if q.is_zero():
-        raise ValueError("division by the zero polynomial")
+        raise UsageError("division by the zero polynomial")
     if p.is_zero():
         return UniPoly()
     rem = list(p.coeffs)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import CapacityExceeded, CheckFailed, InternalError
+from .errors import CapacityExceeded, CheckFailed, InternalError, UsageError
 from .exact import command_cache
 from .rootsys import RootSystem, orbit, orbits
 
@@ -122,7 +122,7 @@ def _letter_pairs(rs: RootSystem) -> Dict[int, tuple]:
 def permutation_of_letters(rs: RootSystem, g: tuple) -> tuple:
     """Type A: recover the permutation of the n+1 letters from the root action."""
     if rs.family != "A":
-        raise ValueError("letter permutations only exist for type A")
+        raise UsageError("letter permutations only exist for type A")
     pairs = _letter_pairs(rs)
     index_of = {pair: x for x, pair in pairs.items()}
     n_letters = rs.rank + 1
@@ -165,7 +165,7 @@ def _coordinate_roots(rs: RootSystem) -> List[int]:
 def signed_permutation(rs: RootSystem, g: tuple) -> List[Tuple[int, int]]:
     """Type B: the image of each e_i as (target index, sign)."""
     if rs.family != "B":
-        raise ValueError("signed permutations only exist for type B")
+        raise UsageError("signed permutations only exist for type B")
     coord = _coordinate_roots(rs)
     place = {x: (i, 1) for i, x in enumerate(coord)}
     place.update({rs.neg(x): (i, -1) for i, x in enumerate(coord)})
@@ -186,7 +186,7 @@ def has_positive_short_cycle(label: Tuple[tuple, tuple]) -> bool:
 def check_B_lemma(rs: RootSystem) -> dict:
     """chi_R(g) != 0 iff g has a positive 1-cycle or positive 2-cycle."""
     if rs.family != "B":
-        raise ValueError(f"{rs.label}: the signed-cycle lemma is about type B")
+        raise UsageError(f"{rs.label}: the signed-cycle lemma is about type B")
     classes = generate_group(rs).classes
     for cls, value in zip(classes, chi_R(rs, classes)):
         expected = has_positive_short_cycle(cls.label)

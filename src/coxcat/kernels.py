@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
+from .errors import InternalError
+
 TallyKey = Tuple[int, int, int]
 
 # Kept because perfbench's setup probe records it; there is no compiled kernel.
@@ -79,7 +81,7 @@ def clique_tally(
     for key, c in packed.items():
         j, l = key & field, (key >> w) & field
         if j + l > max_size:
-            raise ValueError(f"clique larger than the stated bound {max_size}")
+            raise InternalError(f"clique larger than the stated bound {max_size}")
         counts[(j, l, key >> 2 * w)] = c
     return counts
 

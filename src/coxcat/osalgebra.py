@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import CapacityExceeded, CheckFailed, InternalError
+from .errors import CapacityExceeded, CheckFailed, InternalError, UsageError
 from .exact import UniPoly, command_cache, divide_one_minus_t
 from .groups import ConjugacyClass, chi_R, generate_group, has_positive_short_cycle
 from .rootsys import RootSystem, orbit
@@ -105,8 +105,7 @@ class VectorMatroid:
 
 def _merge_sign(u: tuple, v: tuple) -> Tuple[int, tuple]:
     """Sign of sorting the concatenation of two disjoint sorted tuples."""
-    inversions = sum(1 for a in u for b in v if a > b)
-    return (-1) ** inversions, tuple(sorted(u + v))
+    return _sort_sign(u + v), tuple(sorted(u + v))
 
 
 class OSAlgebra:
@@ -415,7 +414,7 @@ def check_B_gprime_lemma(rs: RootSystem) -> dict:
     """G' vanishes on non-identity classes with a positive 1- or 2-cycle,
     and characters of positive-2-cycle classes are divisible by (1-t)^2."""
     if rs.family != "B":
-        raise ValueError(f"{rs.label}: this lemma concerns type B")
+        raise UsageError(f"{rs.label}: this lemma concerns type B")
     gc = os_graded_character(rs)
     checked = 0
     # class 0, the identity, is skipped
@@ -459,7 +458,7 @@ def check_dihedral(rs: RootSystem) -> dict:
     carries the computed traces for both parities.
     """
     if rs.family != "I":
-        raise ValueError(f"{rs.label}: dihedral check needs I2(m)")
+        raise UsageError(f"{rs.label}: dihedral check needs I2(m)")
     m = rs.m
     gc = os_graded_character(rs)
     chi_gp = g_prime_character(gc)

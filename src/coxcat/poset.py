@@ -16,7 +16,6 @@ enumeration is refused beyond a budget on Cat(W), the number of antichains.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import kernels
@@ -79,7 +78,7 @@ class RootPoset:
                     self.edge_masks[a] |= 1 << edge_pos[e]
 
 
-@lru_cache(maxsize=None)
+@command_cache
 def _upper_covers(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     """For each positive root beta_j, the k with beta_k - beta_j a simple root."""
     index = {coords: j for j, coords in enumerate(rs.positive_roots)}

@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
-from .errors import CapacityExceeded, CheckFailed
+from .errors import CapacityExceeded, CheckFailed, InternalError, UsageError
 from .exact import BiPoly, UniPoly, format_rational
 
 # closed forms behind the full-reflection column of the summary table
@@ -44,21 +44,12 @@ def jsonable(value):
     if isinstance(value, (UniPoly, BiPoly)):
         return value.to_json()
     if isinstance(value, dict):
-        return {_key_str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = sorted(value) if isinstance(value, (set, frozenset)) else value
-        return [jsonable(v) for v in items]
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
     if isinstance(value, float):
-        raise TypeError("floating point values are not allowed in reports")
+        raise InternalError("floating point values are not allowed in reports")
     return str(value)
-
-
-def _key_str(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (tuple, list)):
-        return ",".join(str(x) for x in key)
-    return str(key)
 
 
 class VerificationReport:
@@ -108,10 +99,6 @@ def _detail_str(value) -> str:
         return format_rational(value)
     if isinstance(value, (UniPoly, BiPoly)):
         return repr(value)
-    if isinstance(value, dict):
-        return "{" + ", ".join(
-            f"{_key_str(k)}: {_detail_str(v)}" for k, v in sorted(value.items(), key=lambda kv: _key_str(kv[0]))
-        ) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_detail_str(v) for v in value) + "]"
     return str(value)
@@ -129,7 +116,7 @@ def run_check(check: str, label: str, *, max_degree: int = 7) -> VerificationRep
     them to a usage error.
     """
     if check not in _RUNNERS:
-        raise ValueError(f"unknown check {check!r}")
+        raise UsageError(f"unknown check {check!r}")
     from .rootsys import build_root_system
 
     started = time.perf_counter()

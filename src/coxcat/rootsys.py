@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Tuple
 
 from .errors import InternalError, UsageError
-from .exact import GoldenNumber, PHI, conjugate_partition
+from .exact import GoldenNumber, PHI, command_cache, conjugate_partition
 
 # at most 9 ASCII digits, so int() never meets a number too long to convert
 _LABEL_RE = re.compile(r"^([A-H])([0-9]{1,9})$|^I2\(([0-9]{1,9})\)$")
@@ -348,7 +347,7 @@ class RootSystem:
         return Fraction(self.rank * self.coxeter_number * prod, self.order)
 
 
-@lru_cache(maxsize=None)
+@command_cache
 def build_root_system(label: str) -> RootSystem:
     """Construct (and cache) the root system for a type label like "B3"."""
     return RootSystem(label)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
-from .errors import CheckFailed, InternalError
+from .errors import CheckFailed, InternalError, UsageError
 from .exact import (
     UniPoly, centralizer_order, command_cache, divide_one_minus_t, int_poly_mul, partitions_of
 )
@@ -78,7 +78,7 @@ class SymFunc:
     # -- ring operations ----------------------------------------------
     def _check_partner(self, other: "SymFunc"):
         if self.truncation != other.truncation:
-            raise ValueError("mixed truncation degrees")
+            raise InternalError("mixed truncation degrees")
 
     def __add__(self, other: "SymFunc") -> "SymFunc":
         self._check_partner(other)
@@ -484,8 +484,8 @@ def verify_type_A_conjecture(bundle: SeriesBundle, max_n: int) -> dict:
     f = 1 for the letter-permutation types) and every other class 0.
     """
     if max_n > bundle.truncation:
-        raise ValueError("series truncated below the requested degree")
-    rows = []
+        raise UsageError("series truncated below the requested degree")
+    classes = 0
     for n in range(2, max_n + 1):
         for lam in partitions_of(n):
             chi = bundle.gerst.get(lam, ())
@@ -498,5 +498,5 @@ def verify_type_A_conjecture(bundle: SeriesBundle, max_n: int) -> dict:
                 raise CheckFailed(
                     f"S_{n} class {lam}: chi_R*chi_G' = {product} != {expected}"
                 )
-            rows.append((n, lam, product))
-    return {"max_n": max_n, "classes": len(rows)}
+            classes += 1
+    return {"max_n": max_n, "classes": classes}

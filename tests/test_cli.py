@@ -420,6 +420,18 @@ def test_no_command_ends_in_a_traceback(capsys, command, label):
         assert err.startswith("coxcat: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_a_violation_outside_verify_exits_one_in_one_line(capsys, monkeypatch, json_flag):
+    import coxcat.osalgebra
+
+    # a character that 1 - t does not divide has no G' module
+    monkeypatch.setattr(coxcat.osalgebra, "divide_one_minus_t", lambda coeffs: None)
+    code, out, err = run_cli(capsys, "os-character", "A3", *json_flag)
+    assert (code, out) == (1, "")
+    assert err.startswith("coxcat: A3 class ") and err.count("\n") == 1, err
+    assert err.endswith(" not divisible by 1-t\n"), err
+
+
 @pytest.mark.parametrize("wrapped", [False, True], ids=["plain", "wrapped"])
 def test_each_command_line_builds_its_own_group(capsys, monkeypatch, wrapped):
     import coxcat.groups

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxcat.errors import CheckFailed, InternalError
+from coxcat.errors import CheckFailed, InternalError, UsageError
 from coxcat.exact import (
     BiPoly,
     GoldenNumber,
@@ -118,7 +118,7 @@ class TestUniPoly:
             unipoly_divide_exact(UniPoly((1, 1)), UniPoly((1, -1)))
 
     def test_division_by_zero_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="^division by the zero polynomial$"):
             unipoly_divide_exact(UniPoly((1,)), UniPoly.zero())
 
     def test_division_round_trip_random(self):

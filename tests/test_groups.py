@@ -2,7 +2,7 @@
 
 import pytest
 
-from coxcat.errors import CapacityExceeded, InternalError
+from coxcat.errors import CapacityExceeded, InternalError, UsageError
 from coxcat.exact import centralizer_order, partitions_of
 from coxcat.groups import (
     check_B_lemma,
@@ -134,7 +134,7 @@ def test_b_lemma_exhaustive(label):
 
 def test_b_lemma_rejects_other_families():
     rs = build_root_system("A3")
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match=r"^A3: the signed-cycle lemma is about type B$"):
         check_B_lemma(rs)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from coxcat import kernels
 from coxcat.cli import main
 from coxcat.cluster import ClusterComplex
+from coxcat.errors import InternalError
 from coxcat.kernels import clique_tally, maximal_cliques
 from coxcat.poset import RootPoset, _components
 from coxcat.rootsys import build_root_system
@@ -82,7 +83,7 @@ def test_empty_graph():
 
 def test_max_size_bound_enforced():
     adj = [2, 1]  # a single edge
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalError, match="^clique larger than the stated bound 1$"):
         clique_tally(adj, 0, [0, 0], 1)
 
 

@@ -370,3 +370,123 @@ def test_the_unused_method_scan_reads_static_and_class_methods_off_their_owner()
 def test_every_method_in_src_is_read_in_src():
     sources = {p.stem: p.read_text() for p in (SRC / "coxcat").glob("*.py")}
     assert unused_methods(sources) == sorted(UNREAD_METHODS_ON_PURPOSE)
+
+
+# -- one error family and one memo mechanism ---------------------------------
+
+# Python's attribute protocol expects AttributeError from these two methods
+ATTRIBUTE_PROTOCOL = {"__getattr__", "__setattr__"}
+
+
+def foreign_raises(source: str, allowed: set) -> list:
+    """(line, what) of each `raise` that names no class in allowed.
+
+    A bare re-raise passes, and so does AttributeError inside `__getattr__`
+    or `__setattr__`.  A raised name is read through a call
+    (`raise UsageError(...)`) or as it stands (`raise UsageError`), and an
+    attribute by its dotted path (`argparse.ArgumentTypeError`).
+    """
+    tree = ast.parse(source)
+    protocol = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name in ATTRIBUTE_PROTOCOL
+        for node in ast.walk(func)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        what = ast.unparse(exc)
+        if what in allowed or (what == "AttributeError" and id(node) in protocol):
+            continue
+        found.append((node.lineno, what))
+    return sorted(found)
+
+
+def test_the_raise_scan_sees_calls_bare_names_attributes_and_the_attribute_protocol():
+    source = (
+        "import argparse\n"
+        "class Frozen:\n"
+        "    def __setattr__(self, name, value): raise AttributeError(name)\n"
+        "    def set(self): raise AttributeError('set')\n"
+        "def f(x):\n"
+        "    try:\n"
+        "        if x: raise UsageError('bad')\n"
+        "        if x > 1: raise argparse.ArgumentTypeError('no')\n"
+        "        if x > 2: raise ValueError\n"
+        "        raise TypeError('float') from None\n"
+        "    except KeyError:\n"
+        "        raise\n"
+    )
+    allowed = {"UsageError", "argparse.ArgumentTypeError"}
+    assert foreign_raises(source, allowed) == [
+        (4, "AttributeError"), (9, "ValueError"), (10, "TypeError")
+    ]
+
+
+def test_every_raise_in_src_names_an_errors_class():
+    errors = ast.parse((SRC / "coxcat" / "errors.py").read_text())
+    allowed = {n.name for n in errors.body if isinstance(n, ast.ClassDef)}
+    allowed.add("argparse.ArgumentTypeError")
+    found = {
+        p.name: foreign_raises(p.read_text(), allowed) for p in (SRC / "coxcat").glob("*.py")
+    }
+    assert {name: raises for name, raises in found.items() if raises} == {}
+
+
+MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
+
+
+def memo_uses(source: str) -> list:
+    """The top-level function (or "<module>") around each use of a functools
+    memo decorator: `lru_cache`, `cache` or `cached_property`, imported by
+    name (under any alias) or read as `functools.<name>`.  The import itself
+    is no use."""
+    tree = ast.parse(source)
+    aliases = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for a in node.names
+        if a.name in MEMO_DECORATORS
+    }
+
+    def uses(node: ast.AST) -> int:
+        return sum(
+            (isinstance(n, ast.Name) and n.id in aliases)
+            or (isinstance(n, ast.Attribute) and n.attr in MEMO_DECORATORS
+                and isinstance(n.value, ast.Name) and n.value.id == "functools")
+            for n in ast.walk(node)
+        )
+
+    found = []
+    for node in tree.body:
+        name = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        found.extend([name] * uses(node))
+    return found
+
+
+def test_the_memo_scan_sees_aliases_attributes_and_decorators_but_not_imports():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache, cache as memo, total_ordering\n"
+        "def command_cache(fn): return lru_cache(maxsize=None)(fn)\n"
+        "@memo\n"
+        "def f(): pass\n"
+        "class Thing:\n"
+        "    @functools.cached_property\n"
+        "    def size(self): return 1\n"
+        "@total_ordering\n"
+        "class Ordered: pass\n"
+        "table = functools.lru_cache(None)(len)\n"
+    )
+    assert memo_uses(source) == ["command_cache", "f", "Thing", "<module>"]
+
+
+def test_every_memo_table_in_src_is_a_command_cache():
+    found = {p.stem: memo_uses(p.read_text()) for p in (SRC / "coxcat").glob("*.py")}
+    assert {module: uses for module, uses in found.items() if uses} == {
+        "exact": ["command_cache"]
+    }

@@ -3,12 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxcat.cluster import _bipartition
 from coxcat.errors import UsageError
 from coxcat.exact import GoldenNumber
 from coxcat.groups import generate_group
-from coxcat.rootsys import build_root_system, orbit
+from coxcat.rootsys import build_root_system, orbit, parse_label
 
 ALL_TABLE_TYPES = (
     ["A%d" % n for n in range(1, 9)]
@@ -190,6 +192,56 @@ def test_unsupported_labels_raise():
     for bad in ("Z3", "A0", "B1", "C2", "D3", "E9", "F5", "G3", "H5", "I2(4)", "", "A"):
         with pytest.raises(UsageError, match=r"cannot parse type label|out of range for family|requires m >= 5"):
             build_root_system(bad)
+
+
+# the documented label bounds: rank range per family, and 5 <= m <= 50,000 for I2(m)
+LABEL_RANKS = {"A": (1, 48), "B": (2, 48), "C": (3, 48), "D": (4, 48), "E": (6, 8),
+               "F": (4, 4), "G": (2, 2), "H": (3, 4)}
+LABEL_LETTERS = "ABCDEFGHIabcdefghi"
+# label letters, ASCII digits, an Arabic-Indic three, and what int() or a
+# careless parser would also take
+LABEL_ALPHABET = LABEL_LETTERS + "0123456789\u0663() _+-"
+
+
+def canonical_label(family: str, rank: int, m) -> str:
+    return f"I2({m})" if family == "I" else f"{family}{rank}"
+
+
+def near_bound_label(letter: str, n: int, blank: str) -> str:
+    """A family letter in either case and a number around its bounds, with blanks."""
+    if letter in "Ii":
+        return f"{blank}{letter}2({n}){blank}"
+    return f"{letter}{blank}{n % 64}"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.text(LABEL_ALPHABET, max_size=10),
+        # label-shaped: a family prefix, digits and blanks, then a closing piece
+        st.tuples(
+            st.sampled_from(list(LABEL_LETTERS) + ["I2(", "i2 (", " I2("]),
+            st.text("0123456789 ", min_size=1, max_size=6),
+            st.text(LABEL_ALPHABET, max_size=2) | st.just(")"),
+        ).map("".join),
+        st.builds(
+            near_bound_label,
+            st.sampled_from(LABEL_LETTERS), st.integers(0, 60_000), st.sampled_from(["", " "]),
+        ),
+    )
+)
+def test_a_label_parses_to_a_bounded_triple_or_is_a_usage_error(text):
+    try:
+        parsed = parse_label(text)
+    except UsageError:
+        return
+    family, rank, m = parsed
+    if family == "I":
+        assert rank == 2 and 5 <= m <= 50_000
+    else:
+        lo, hi = LABEL_RANKS[family]
+        assert lo <= rank <= hi and m is None
+    assert parse_label(canonical_label(*parsed)) == parsed
 
 
 def test_group_order_matches_generated_group_small_ranks():

@@ -610,5 +610,5 @@ def test_power_substitution():
 
 
 def test_truncation_mismatch_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalError, match="^mixed truncation degrees$"):
         p(1, 5) + p(1, 6)
