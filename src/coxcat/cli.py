@@ -269,20 +269,26 @@ def cmd_verify(args) -> int:
 # --max-degree 24` takes 2.8 s and 30 MB, 28 takes 6.7 s and 32 takes 23 s.
 _MAX_DEGREE = 24
 # ASCII digits only: int() would also take other scripts' digits, "_", "+"
-# and surrounding blanks; and at most the 4,300 digits int() converts
+# and surrounding blanks; and at most 4,300 digits, int()'s default limit
 _INTEGER_RE = re.compile(r"-?[0-9]{1,4300}")
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for --max-degree: a series truncation in 1.._MAX_DEGREE."""
+    """argparse type for --max-degree: a series truncation in 1.._MAX_DEGREE.
+
+    The range is decided on the significant digits, so int() converts at most
+    as many digits as _MAX_DEGREE has, whatever the interpreter's int-string
+    limit; a refusal shows the value as int() would print it.
+    """
     if not _INTEGER_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    if value > _MAX_DEGREE:
-        raise argparse.ArgumentTypeError(f"must be at most {_MAX_DEGREE}, got {value}")
-    return value
+    digits = text.lstrip("-").lstrip("0") or "0"
+    shown = f"-{digits}" if text[0] == "-" and digits != "0" else digits
+    if digits == "0" or text[0] == "-":
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {shown}")
+    if len(digits) > len(str(_MAX_DEGREE)) or int(digits) > _MAX_DEGREE:
+        raise argparse.ArgumentTypeError(f"must be at most {_MAX_DEGREE}, got {shown}")
+    return int(digits)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -3,7 +3,8 @@
 Scalars are `int`, `fractions.Fraction` for true rationals, or `GoldenNumber`
 (the ring Z[phi], phi**2 = phi + 1, of the H3 and H4 root coordinates).
 Polynomials, `UniPoly` (in t, dense) and `BiPoly` (in x, y, sparse), keep
-the scalars they are given, so counts and characters stay `int`.
+the scalars they are given, so counts and characters stay `int`.  Each
+combines only with its own type; scalars enter through the constructors.
 Everything is immutable and hashable, so values can be shared freely across
 threads and memo tables.  Counts that never leave the integers are
 multiplied as plain coefficient lists.
@@ -89,12 +90,6 @@ class GoldenNumber:
             return NotImplemented
         return GoldenNumber(self.a - o.a, self.b - o.b)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return GoldenNumber(o.a - self.a, o.b - self.b)
-
     def __neg__(self):
         return GoldenNumber(-self.a, -self.b)
 
@@ -145,6 +140,26 @@ class GoldenNumber:
 PHI = GoldenNumber(0, 1)
 
 
+def _render_terms(terms: Iterable[tuple]) -> str:
+    """Render (monomial, coefficient) pairs as "c*m + ...", or "0" if none.
+
+    A monomial maps each variable to its exponent; zero exponents drop out,
+    so the constant prints as its coefficient alone.
+    """
+    parts = []
+    for mono, c in terms:
+        m = "".join(v if e == 1 else f"{v}^{e}" for v, e in mono.items() if e)
+        if not m:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(m)
+        elif c == -1:
+            parts.append(f"-{m}")
+        else:
+            parts.append(f"{c}*{m}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
 class UniPoly:
     """Dense polynomial in t, coefficients kept as given, trailing zeros stripped."""
 
@@ -185,8 +200,6 @@ class UniPoly:
         return 0
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.constant(other)
         if not isinstance(other, UniPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -197,28 +210,9 @@ class UniPoly:
             out[i] += c
         return UniPoly(out)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.constant(other)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return UniPoly(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UniPoly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -226,11 +220,7 @@ class UniPoly:
                     out[i + j] += a * b
         return UniPoly(out)
 
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.constant(other)
         if not isinstance(other, UniPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -251,23 +241,7 @@ class UniPoly:
         return {"coeffs": [format_rational(c) for c in self.coeffs]}
 
     def __repr__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                mono = "t" if k == 1 else f"t^{k}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _render_terms(({"t": k}, c) for k, c in enumerate(self.coeffs) if c != 0)
 
 
 def unipoly_divide_exact(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -326,28 +300,15 @@ class BiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
 
-    @staticmethod
-    def monomial(c: Scalar, k: int, l: int = 0) -> "BiPoly":
-        return BiPoly({(k, l): c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, k: int, l: int = 0) -> Scalar:
         return self.terms.get((k, l), 0)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiPoly.monomial(other, 0, 0)
         if not isinstance(other, BiPoly):
             return NotImplemented
         return BiPoly([*self.terms.items(), *other.terms.items()])
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiPoly.monomial(other, 0, 0)
         if not isinstance(other, BiPoly):
             return NotImplemented
         return self + (-other)
@@ -356,8 +317,6 @@ class BiPoly:
         return BiPoly({key: -c for key, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BiPoly({key: c * other for key, c in self.terms.items()})
         if not isinstance(other, BiPoly):
             return NotImplemented
         return BiPoly(
@@ -365,8 +324,6 @@ class BiPoly:
             for (k1, l1), c1 in self.terms.items()
             for (k2, l2), c2 in other.terms.items()
         )
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
@@ -393,24 +350,7 @@ class BiPoly:
         }
 
     def __repr__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for (k, l), c in self.sorted_terms():
-            mono = ""
-            if k:
-                mono += "x" if k == 1 else f"x^{k}"
-            if l:
-                mono += "y" if l == 1 else f"y^{l}"
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _render_terms(({"x": k, "y": l}, c) for (k, l), c in self.sorted_terms())
 
 
 def bipoly_substitute(f: BiPoly, n: int) -> BiPoly:

@@ -253,6 +253,27 @@ def test_the_largest_admitted_degree_parses():
     assert args.max_degree == 24
 
 
+def test_the_degree_range_holds_past_the_int_string_limit(capsys):
+    nines = "9" * 700
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for value, message in (
+            (nines, f"must be at most 24, got {nines}"),
+            ("-" + nines, f"must be at least 1, got -{nines}"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["gerst", "--max-degree", value])
+            assert exc.value.code == 2
+            assert capsys.readouterr() == (
+                "", f"coxcat gerst: error: argument --max-degree: {message}\n"
+            )
+        args = build_parser().parse_args(["gerst", "--max-degree", "0" * 700 + "5"])
+        assert args.max_degree == 5
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_largest_admitted_labels_run():
     labels = ["A48", "B48", "C48", "D48", "I2(50000)"]
     done = _run_limited(["table", *labels])

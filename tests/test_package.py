@@ -372,6 +372,84 @@ def test_every_method_in_src_is_read_in_src():
     assert unused_methods(sources) == sorted(UNREAD_METHODS_ON_PURPOSE)
 
 
+# Method names defined on more than one src/ class.  The unused-method scan
+# matches them by name, so a reader of one owner would hide an unread twin;
+# each owner names the src/ function that reads the method on it.
+SHARED_METHOD_READERS = {
+    "coefficient": {
+        "BiPoly": "poset.check_antichain_lemmas",
+        "UniPoly": "osalgebra.quotient_traces",
+    },
+    "sorted_terms": {
+        "BiPoly": "exact.BiPoly.to_json",
+        "SymFunc": "symfunc.SymFunc.__repr__",
+    },
+    "to_json": {
+        "BiPoly": "reports.jsonable",
+        "UniPoly": "reports.jsonable",
+        "VerificationReport": "cli.cmd_verify",
+    },
+}
+
+
+def shared_method_owners(sources: dict) -> dict:
+    """name -> sorted owning classes, for each method name that more than one
+    module-level class defines.  Dunders and static or class methods are left
+    out: the unused-method scan reads the latter off their owner."""
+    owners: dict = {}
+    for text in sources.values():
+        for cls in ast.parse(text).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (
+                    isinstance(node, ast.FunctionDef)
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and not is_static_or_class(node)
+                ):
+                    owners.setdefault(node.name, []).append(cls.name)
+    return {name: sorted(found) for name, found in owners.items() if len(found) > 1}
+
+
+def function_named(sources: dict, dotted: str) -> ast.FunctionDef:
+    """The function "module.name" or method "module.Class.name" in sources."""
+    module, *path = dotted.split(".")
+    scope = ast.parse(sources[module])
+    for name in path:
+        (scope,) = [
+            n for n in scope.body
+            if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name
+        ]
+    return scope
+
+
+def test_the_shared_method_scan_skips_dunders_and_static_methods():
+    sources = {
+        "a": "class P:\n"
+        "    def __repr__(self): pass\n"
+        "    def size(self): pass\n"
+        "    @staticmethod\n"
+        "    def zero(): pass\n",
+        "b": "class Q:\n"
+        "    def __repr__(self): pass\n"
+        "    def size(self): pass\n"
+        "    @staticmethod\n"
+        "    def zero(): pass\n"
+        "def f(q): return q.size()\n",
+    }
+    assert shared_method_owners(sources) == {"size": ["P", "Q"]}
+    assert names_read(function_named(sources, "b.f"))["size"] == 1
+
+
+def test_every_method_name_shared_between_src_classes_is_reviewed():
+    sources = {p.stem: p.read_text() for p in (SRC / "coxcat").glob("*.py")}
+    pinned = {name: sorted(readers) for name, readers in SHARED_METHOD_READERS.items()}
+    assert shared_method_owners(sources) == pinned
+    for name, readers in SHARED_METHOD_READERS.items():
+        for owner, reader in readers.items():
+            assert names_read(function_named(sources, reader))[name], (owner, reader)
+
+
 # -- one error family and one memo mechanism ---------------------------------
 
 # Python's attribute protocol expects AttributeError from these two methods

@@ -288,7 +288,7 @@ def reference_p_polynomial_mobius(rs):
         for component in _components(rs.rank, subset):
             nodes = None if len(component) == rs.rank else component
             product = product * narayana_polynomial(enumerate_antichains(rs, nodes))
-        total = total + sign * product
+        total = total + BiPoly({(0, 0): sign}) * product
     return total
 
 
