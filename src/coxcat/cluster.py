@@ -6,11 +6,12 @@ the two rotation maps tau, induced by the bipartition of the Coxeter diagram
 that is computed here.  They rotate every vertex at once, so each vertex's
 compatibility degrees with all vertices come out as one row.  Two vertices
 are compatible when both mutual compatibility degrees vanish, and the faces
-of the complex are exactly the cliques of that relation.  The face
-polynomial F comes from the clique tally; the maximal faces (the clusters)
-from a separate pivoted walk over the same graph, and they must number
-Cat(W).  The complex is built under the same Catalan budget as the root
-poset's antichains, which also number Cat(W), with no override.
+of the complex are exactly the cliques of that relation.  One pivoted walk
+over that graph (kernels.face_walk) gives both the face polynomial F and
+the maximal faces (the clusters), which must number Cat(W); the root
+poset's antichains are tallied by kernels.clique_tally instead.  The
+complex is built under the same Catalan budget as the root poset's
+antichains, which also number Cat(W), with no override.
 """
 
 from __future__ import annotations
@@ -133,9 +134,12 @@ def compatibility_degree(rs: RootSystem, u: int, v: int) -> int:
 class ClusterComplex:
     """Compatibility graph of a crystallographic root system.
 
-    F is read off the clique tally; the maximal faces are counted by
-    kernels.maximal_cliques.  Refused (CapacityExceeded) when Cat(W), the
-    number of clusters, exceeds the enumeration budget.
+    Construction runs one pivoted walk over the graph (kernels.face_walk)
+    and keeps its face counts and its (clusters, smallest size) pair;
+    f_tally and maximal_face_count both read that one result.  The root
+    poset keeps kernels.clique_tally, whose keys carry edge masks.  Refused
+    (CapacityExceeded) when Cat(W), the number of clusters, exceeds the
+    enumeration budget.
     """
 
     def __init__(self, rs: RootSystem):
@@ -152,20 +156,17 @@ class ClusterComplex:
                 if not row[v] and not rows[v][u]:
                     self.adjacency[u] |= 1 << v
                     self.adjacency[v] |= 1 << u
+        self._faces, self._clusters = kernels.face_walk(
+            self.adjacency, special_mask=(1 << rs.rank) - 1, max_size=rs.rank
+        )
 
     def f_tally(self) -> BiPoly:
         """F(x, y): face counts by x^(#positive vertices) y^(#negative simples)."""
-        faces = kernels.clique_tally(
-            self.adjacency,
-            special_mask=(1 << self.rs.rank) - 1,
-            edge_masks=[0] * self.n_vertices,
-            max_size=self.rs.rank,
-        )
-        return BiPoly(((k, l), c) for (k, l, _), c in faces.items())
+        return BiPoly(self._faces)
 
     def maximal_face_count(self) -> Tuple[int, int]:
         """(number of maximal faces, minimum size among them)."""
-        return kernels.maximal_cliques(self.adjacency)
+        return self._clusters
 
 
 def f_polynomial(rs: RootSystem) -> BiPoly:

@@ -82,8 +82,6 @@ class GoldenNumber:
             return NotImplemented
         return GoldenNumber(self.a + o.a, self.b + o.b)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -102,8 +100,6 @@ class GoldenNumber:
             self.a * o.a + self.b * o.b,
             self.a * o.b + self.b * o.a + self.b * o.b,
         )
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         o = self._coerce(other)

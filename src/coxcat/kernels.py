@@ -1,19 +1,23 @@
 """Clique counting over bitmask adjacency.
 
 Vertices are 0..n-1; adj[v] is an int bitmask of the neighbours of v
-(irreflexive, symmetric).  Cliques are enumerated once each by always
-extending with a vertex of higher index than all current members, so the
-cliques that extend a clique are exactly the cliques of its candidate set:
-its common neighbours of higher index.  clique_tally counts each candidate
-set once and shifts that count into every clique sharing the set;
-maximal_cliques counts the maximal ones by a separate pivoted walk, since
-maximality depends on the whole common neighbourhood, not on the candidate
-set alone.
+(irreflexive, symmetric).  Two walks serve two callers:
+
+- face_walk gives the cluster complex both its face counts and its maximal
+  faces (the clusters) from one pivoted Bron-Kerbosch walk, whose leaves
+  each stand for a run of cliques counted by binomials.
+- clique_tally serves the root poset, whose antichain keys also carry the
+  OR of the members' covered-edge masks.  It enumerates cliques once each
+  by always extending with a vertex of higher index than all current
+  members, so the cliques that extend a clique are exactly the cliques of
+  its candidate set: its common neighbours of higher index.  It counts each
+  candidate set once and shifts that count into every clique sharing it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from math import comb
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import InternalError
 
@@ -33,7 +37,7 @@ def clique_tally(
 
     Keys are (plain members, special members, OR of the members' edge
     masks), where "special" means the vertex is in special_mask.  Raises
-    ValueError if a clique exceeds max_size members.
+    InternalError if a clique exceeds max_size members.
     """
     n = len(adj)
     # Inside the walk a key is one int: plain | special << w | edge mask << 2w.
@@ -86,42 +90,73 @@ def clique_tally(
     return counts
 
 
-def maximal_cliques(adj: Sequence[int]) -> Tuple[int, int]:
-    """(number of maximal cliques, smallest size among them).
+def face_walk(
+    adj: Sequence[int], special_mask: int, max_size: int
+) -> Tuple[Dict[Tuple[int, int], int], Tuple[int, int]]:
+    """Every clique counted, and the maximal ones, in one pivoted walk.
 
-    Bron-Kerbosch with pivoting (Tomita, Tanaka and Takahashi, Theor.
-    Comput. Sci. 363, 2006): each call branches only on the candidates
-    that are not neighbours of a pivot chosen to leave the fewest.  The
-    empty graph has one maximal clique, the empty one.
+    Returns the clique counts keyed by (plain members, special members),
+    the empty clique included, and (number of maximal cliques, smallest
+    size among them); the empty graph has one maximal clique, the empty
+    one.  Raises InternalError if a clique exceeds max_size members.
+
+    This is Bron-Kerbosch with a pivot drawn from the candidates alone, the
+    one with most neighbours among them (Jain and Seshadhri, WSDM 2020).
+    A leaf stands for its held members plus any subset of its pivots, and
+    every clique lies under exactly one leaf; a pivot drawn from the done
+    set, as Tomita, Tanaka and Takahashi allow, would lose the cliques
+    inside its neighbourhood.  The all-pivots clique of a leaf is maximal
+    exactly when nothing is left done there.
     """
-    count = 0
-    smallest = len(adj)
+    n = len(adj)
+    # A leaf is one int: held plain | held special << w | pivot plain << 2w
+    # | pivot special << 3w.  No count exceeds n < 2**w, so none carries.
+    w = max(n, 1).bit_length()
+    held = [1 << w if (special_mask >> v) & 1 else 1 for v in range(n)]
+    pivot = [d << 2 * w for d in held]
+    leaves: Dict[int, int] = {}
+    maximal: Dict[int, int] = {}
 
-    def expand(size: int, cand: int, done: int) -> None:
-        nonlocal count, smallest
+    def walk(key: int, cand: int, done: int) -> None:
         if not cand:
+            leaves[key] = leaves.get(key, 0) + 1
             if not done:
-                count += 1
-                smallest = min(smallest, size)
+                maximal[key] = maximal.get(key, 0) + 1
             return
         best = -1
-        rest = cand | done
+        rest = cand
         while rest:
             low = rest & -rest
-            nbrs = adj[low.bit_length() - 1]
+            v = low.bit_length() - 1
             rest ^= low
-            k = (cand & nbrs).bit_count()
+            k = (cand & adj[v]).bit_count()
             if k > best:
-                best, pivot_nbrs = k, nbrs
-        branch = cand & ~pivot_nbrs
+                best, p = k, v
+        branch = cand & ~adj[p]
         while branch:
             low = branch & -branch
-            nbrs = adj[low.bit_length() - 1]
+            v = low.bit_length() - 1
             branch ^= low
-            expand(size + 1, cand & nbrs, done & nbrs)
+            nbrs = adj[v]
+            walk(key + (pivot[v] if v == p else held[v]), cand & nbrs, done & nbrs)
             cand ^= low
             done |= low
 
-    expand(0, (1 << len(adj)) - 1, 0)
-    return count, smallest
+    walk(0, (1 << n) - 1, 0)
+    field = (1 << w) - 1
 
+    def fields(key: int) -> List[int]:
+        return [(key >> i * w) & field for i in range(4)]
+
+    counts: Dict[Tuple[int, int], int] = {}
+    for key, c in leaves.items():
+        held_plain, held_special, pivot_plain, pivot_special = fields(key)
+        if held_plain + held_special + pivot_plain + pivot_special > max_size:
+            raise InternalError(f"clique larger than the stated bound {max_size}")
+        for a in range(pivot_plain + 1):
+            ca = c * comb(pivot_plain, a)
+            for b in range(pivot_special + 1):
+                face = (held_plain + a, held_special + b)
+                counts[face] = counts.get(face, 0) + ca * comb(pivot_special, b)
+    clusters = (sum(maximal.values()), min(sum(fields(key)) for key in maximal))
+    return counts, clusters

@@ -246,14 +246,32 @@ def test_a2_golden_h_and_f_values():
 def test_cluster_count_must_be_catalan(monkeypatch):
     rs = build_root_system("A3")
     verify_hf_conjecture(rs)
+    walk = kernels.face_walk
     for tampered in ((15, 3), (14, 2)):
-        monkeypatch.setattr(kernels, "maximal_cliques", lambda adj, out=tampered: out)
+        monkeypatch.setattr(
+            kernels,
+            "face_walk",
+            lambda *args, out=tampered, **kwargs: (walk(*args, **kwargs)[0], out),
+        )
         message = (
             f"A3: (maximal faces, smallest size) = {tampered}, "
             "expected (Cat(W), n) = (14, 3)"
         )
         with pytest.raises(CheckFailed, match="^" + re.escape(message) + "$"):
             verify_hf_conjecture(rs)
+
+
+def test_face_counts_must_match_h(monkeypatch):
+    rs = build_root_system("A3")
+    walk = kernels.face_walk
+
+    def one_face_off(*args, **kwargs):
+        faces, clusters = walk(*args, **kwargs)
+        return {**faces, (1, 1): faces[(1, 1)] + 1}, clusters
+
+    monkeypatch.setattr(kernels, "face_walk", one_face_off)
+    with pytest.raises(CheckFailed, match=r"^A3: H != transformed F; difference terms "):
+        verify_hf_conjecture(rs)
 
 
 def test_large_rank_needs_flag():

@@ -89,6 +89,13 @@ class TestGoldenNumber:
             with pytest.raises(TypeError):
                 op(GoldenNumber(1), Fraction(1, 2))
 
+    def test_an_int_combines_only_on_the_right(self):
+        x = GoldenNumber(1, 1)
+        assert x + 1 == GoldenNumber(2, 1) and x * 2 == GoldenNumber(2, 2)
+        for op in (lambda: 1 + x, lambda: 2 * x):
+            with pytest.raises(TypeError):
+                op()
+
     def test_sign_beyond_float_precision(self):
         # F(k) phi - F(k+1) = -(1 - phi)**k, so the sign alternates while the
         # value shrinks like phi**-k, far below any float's resolution

@@ -1,4 +1,5 @@
-"""Clique kernels against brute-force subset enumeration and the flagged walk."""
+"""Clique kernels against brute-force subset enumeration, the flagged walk and
+the Bron-Kerbosch walk that face_walk replaced."""
 
 import itertools
 import random
@@ -11,7 +12,7 @@ from coxcat import kernels
 from coxcat.cli import main
 from coxcat.cluster import ClusterComplex
 from coxcat.errors import InternalError
-from coxcat.kernels import clique_tally, maximal_cliques
+from coxcat.kernels import clique_tally, face_walk
 from coxcat.poset import RootPoset, _components
 from coxcat.rootsys import build_root_system
 
@@ -53,6 +54,52 @@ def brute_force_maximal(adj):
     return len(sizes), min(sizes)
 
 
+def maximal_cliques(adj):
+    """The walk kernels.face_walk replaced for the clusters, kept as a reference.
+
+    (number of maximal cliques, smallest size among them), by Bron-Kerbosch
+    with Tomita's pivot from cand | done.
+    """
+    count = 0
+    smallest = len(adj)
+
+    def expand(size, cand, done):
+        nonlocal count, smallest
+        if not cand:
+            if not done:
+                count += 1
+                smallest = min(smallest, size)
+            return
+        best = -1
+        rest = cand | done
+        while rest:
+            low = rest & -rest
+            nbrs = adj[low.bit_length() - 1]
+            rest ^= low
+            k = (cand & nbrs).bit_count()
+            if k > best:
+                best, pivot_nbrs = k, nbrs
+        branch = cand & ~pivot_nbrs
+        while branch:
+            low = branch & -branch
+            nbrs = adj[low.bit_length() - 1]
+            branch ^= low
+            expand(size + 1, cand & nbrs, done & nbrs)
+            cand ^= low
+            done |= low
+
+    expand(0, (1 << len(adj)) - 1, 0)
+    return count, smallest
+
+
+def plain_faces(tally):
+    """A clique_tally result with the edge-mask field summed out."""
+    faces = {}
+    for (j, l, _), c in tally.items():
+        faces[(j, l)] = faces.get((j, l), 0) + c
+    return faces
+
+
 def random_graph(rng, n, density):
     adj = [0] * n
     for a in range(n):
@@ -72,19 +119,24 @@ def test_pure_kernel_matches_brute_force(seed):
     edge_masks = [rng.getrandbits(4) for _ in range(n)]
     expected = brute_force_tally(adj, special_mask, edge_masks, n)
     assert clique_tally(adj, special_mask, edge_masks, n) == expected
-    assert maximal_cliques(adj) == brute_force_maximal(adj)
+    maximal = brute_force_maximal(adj)
+    assert maximal_cliques(adj) == maximal
+    assert face_walk(adj, special_mask, n) == (plain_faces(expected), maximal)
 
 
 def test_empty_graph():
     # the empty clique is the only face, hence maximal
     assert clique_tally([], 0, [], 0) == {(0, 0, 0): 1}
     assert maximal_cliques([]) == (1, 0)
+    assert face_walk([], 0, 0) == ({(0, 0): 1}, (1, 0))
 
 
 def test_max_size_bound_enforced():
     adj = [2, 1]  # a single edge
     with pytest.raises(InternalError, match="^clique larger than the stated bound 1$"):
         clique_tally(adj, 0, [0, 0], 1)
+    with pytest.raises(InternalError, match="^clique larger than the stated bound 1$"):
+        face_walk(adj, 0, 1)
 
 
 def test_wide_graph_beyond_two_machine_words():
@@ -93,28 +145,45 @@ def test_wide_graph_beyond_two_machine_words():
     counts = clique_tally(adj, 0, [0] * 129, 129)
     assert counts == {(0, 0, 0): 1, (1, 0, 0): 129}
     assert maximal_cliques(adj) == (129, 1)
+    assert face_walk(adj, 0, 129) == ({(0, 0): 1, (1, 0): 129}, (129, 1))
 
 
-def test_fpoly_walks_the_complex_once(capsys, monkeypatch):
+def walks_made(argv, monkeypatch):
+    """(kernel, vertex count) of every kernel call one CLI call makes."""
     calls = []
 
     def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
+        def wrapper(adj, *args, **kwargs):
+            calls.append((name, len(adj)))
+            return fn(adj, *args, **kwargs)
 
         return wrapper
 
-    for name in ("clique_tally", "maximal_cliques"):
+    for name in ("clique_tally", "face_walk"):
         monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
-    assert main(["fpoly", "A3"]) == 0
-    assert sorted(calls) == ["clique_tally", "maximal_cliques"]
+    assert main(argv) == 0
+    return sorted(calls)
+
+
+def test_fpoly_walks_the_complex_once(capsys, monkeypatch):
+    # the A3 complex has 3 + 6 vertices
+    assert walks_made(["fpoly", "A3"], monkeypatch) == [("face_walk", 9)]
     assert "maximal faces: 14 (smallest has size 3)" in capsys.readouterr().out
+
+
+def test_verify_hf_walks_the_complex_once(capsys, monkeypatch):
+    # the one clique_tally call is the antichain tally of the 6-root poset
+    assert walks_made(["verify", "hf", "A3"], monkeypatch) == [
+        ("clique_tally", 6),
+        ("face_walk", 9),
+    ]
+    assert "[PASS] hf A3" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
 # The single walk that carried a maximal flag in every key, kept as the
-# reference for the candidate-set tally and the pivoted maximal walk.
+# reference for clique_tally, for maximal_cliques above and for both halves
+# of face_walk.
 
 
 def reference_flagged_tally(adj, special_mask, edge_masks, max_size):
@@ -152,6 +221,7 @@ def assert_matches_reference(adj, special_mask, edge_masks, max_size):
     maximal = [(j + l, c) for (j, l, _, is_max), c in flagged.items() if is_max]
     expected = (sum(c for _, c in maximal), min(size for size, _ in maximal))
     assert maximal_cliques(adj) == expected
+    assert face_walk(adj, special_mask, max_size) == (plain_faces(unflagged), expected)
 
 
 # Every crystallographic type within the Cat(E8) budget.
@@ -173,6 +243,14 @@ def test_cluster_complex_matches_flagged_walk(label):
         [0] * complex_.n_vertices,
         complex_.rs.rank,
     )
+
+
+@pytest.mark.parametrize("label", BUDGET_TYPES)
+def test_face_walk_matches_the_two_walks_it_replaced(label):
+    complex_ = ClusterComplex(build_root_system(label))
+    adj, rank = complex_.adjacency, complex_.rs.rank
+    tally = clique_tally(adj, (1 << rank) - 1, [0] * complex_.n_vertices, rank)
+    assert face_walk(adj, (1 << rank) - 1, rank) == (plain_faces(tally), maximal_cliques(adj))
 
 
 @pytest.mark.parametrize("label", BUDGET_TYPES)
@@ -222,6 +300,7 @@ def test_kernels_match_brute_force_under_relabelling(drawn):
     maximal = brute_force_maximal(adj)
     assert clique_tally(adj, special_mask, edge_masks, n) == tally
     assert maximal_cliques(adj) == maximal
+    assert face_walk(adj, special_mask, n) == (plain_faces(tally), maximal)
     # vertex v becomes relabel[v]; the counts cannot change
     moved_adj = [0] * n
     moved_edges = [0] * n
@@ -235,3 +314,4 @@ def test_kernels_match_brute_force_under_relabelling(drawn):
                 moved_adj[w] |= 1 << relabel[u]
     assert clique_tally(moved_adj, moved_special, moved_edges, n) == tally
     assert maximal_cliques(moved_adj) == maximal
+    assert face_walk(moved_adj, moved_special, n) == (plain_faces(tally), maximal)

@@ -360,7 +360,7 @@ def reference_reflection_of_root(rs, j):
         total = cartan[0][0] * 0
         for a in range(rs.rank):
             for b in range(rs.rank):
-                total = total + d[a] * cartan[a][b] * u[a] * v[b]
+                total = total + cartan[a][b] * d[a] * u[a] * v[b]
         return total
 
     norm = inner(beta, beta)
@@ -373,7 +373,7 @@ def reference_reflection_of_root(rs, j):
             assert frac.denominator == 1, "non-integral reflection coefficient"
             coeff = frac.numerator
         else:
-            coeff = 2 * inner(u, beta) * _ref_inverse(norm)
+            coeff = inner(u, beta) * 2 * _ref_inverse(norm)
         image = tuple(u[i] - coeff * beta[i] for i in range(rs.rank))
         table.append(rs.root_index(image))
     return tuple(table)
