@@ -7,11 +7,11 @@ that is computed here.  They rotate every vertex at once, so each vertex's
 compatibility degrees with all vertices come out as one row.  Two vertices
 are compatible when both mutual compatibility degrees vanish, and the faces
 of the complex are exactly the cliques of that relation.  One pivoted walk
-over that graph (kernels.face_walk) gives both the face polynomial F and
-the maximal faces (the clusters), which must number Cat(W); the root
-poset's antichains are tallied by kernels.clique_tally instead.  The
-complex is built under the same Catalan budget as the root poset's
-antichains, which also number Cat(W), with no override.
+over that graph (kernels.clique_tally, the kernel that also tallies the
+root poset's antichains) gives both the face polynomial F and the maximal
+faces (the clusters), which must number Cat(W).  The complex is built
+under the same Catalan budget as the root poset's antichains, which also
+number Cat(W), with no override.
 """
 
 from __future__ import annotations
@@ -134,12 +134,11 @@ def compatibility_degree(rs: RootSystem, u: int, v: int) -> int:
 class ClusterComplex:
     """Compatibility graph of a crystallographic root system.
 
-    Construction runs one pivoted walk over the graph (kernels.face_walk)
-    and keeps its face counts and its (clusters, smallest size) pair;
-    f_tally and maximal_face_count both read that one result.  The root
-    poset keeps kernels.clique_tally, whose keys carry edge masks.  Refused
-    (CapacityExceeded) when Cat(W), the number of clusters, exceeds the
-    enumeration budget.
+    Construction runs one pivoted walk over the graph (kernels.clique_tally,
+    with no edge masks) and keeps its face counts and its (clusters,
+    smallest size) pair; f_tally and maximal_face_count both read that one
+    result.  Refused (CapacityExceeded) when Cat(W), the number of
+    clusters, exceeds the enumeration budget.
     """
 
     def __init__(self, rs: RootSystem):
@@ -156,13 +155,16 @@ class ClusterComplex:
                 if not row[v] and not rows[v][u]:
                     self.adjacency[u] |= 1 << v
                     self.adjacency[v] |= 1 << u
-        self._faces, self._clusters = kernels.face_walk(
-            self.adjacency, special_mask=(1 << rs.rank) - 1, max_size=rs.rank
+        self._faces, self._clusters = kernels.clique_tally(
+            self.adjacency,
+            special_mask=(1 << rs.rank) - 1,
+            edge_masks=[0] * n_vertices,
+            max_size=rs.rank,
         )
 
     def f_tally(self) -> BiPoly:
         """F(x, y): face counts by x^(#positive vertices) y^(#negative simples)."""
-        return BiPoly(self._faces)
+        return BiPoly(((j, l), c) for (j, l, _), c in self._faces.items())
 
     def maximal_face_count(self) -> Tuple[int, int]:
         """(number of maximal faces, minimum size among them)."""

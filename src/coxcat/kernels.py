@@ -1,17 +1,11 @@
 """Clique counting over bitmask adjacency.
 
 Vertices are 0..n-1; adj[v] is an int bitmask of the neighbours of v
-(irreflexive, symmetric).  Two walks serve two callers:
-
-- face_walk gives the cluster complex both its face counts and its maximal
-  faces (the clusters) from one pivoted Bron-Kerbosch walk, whose leaves
-  each stand for a run of cliques counted by binomials.
-- clique_tally serves the root poset, whose antichain keys also carry the
-  OR of the members' covered-edge masks.  It enumerates cliques once each
-  by always extending with a vertex of higher index than all current
-  members, so the cliques that extend a clique are exactly the cliques of
-  its candidate set: its common neighbours of higher index.  It counts each
-  candidate set once and shifts that count into every clique sharing it.
+(irreflexive, symmetric).  One pivoted walk serves both callers: the
+cluster complex, whose faces are the cliques of its compatibility graph and
+whose clusters are the maximal ones, and the root poset, whose antichains
+are the cliques of its incomparability graph, keyed also by the OR of the
+members' covered-edge masks.
 """
 
 from __future__ import annotations
@@ -32,73 +26,15 @@ def clique_tally(
     special_mask: int,
     edge_masks: Sequence[int],
     max_size: int,
-) -> Dict[TallyKey, int]:
-    """Count every clique (the empty one included).
-
-    Keys are (plain members, special members, OR of the members' edge
-    masks), where "special" means the vertex is in special_mask.  Raises
-    InternalError if a clique exceeds max_size members.
-    """
-    n = len(adj)
-    # Inside the walk a key is one int: plain | special << w | edge mask << 2w.
-    # No count exceeds n < 2**w, so adding a member never carries across fields.
-    w = max(n, 1).bit_length()
-    step = [1 << w if (special_mask >> v) & 1 else 1 for v in range(n)]
-    edges = [e << 2 * w for e in edge_masks]
-    # The extension tallies of the candidate sets met under one top-level
-    # vertex.  Keeping them for the whole walk is faster but holds every
-    # distinct set's tally at once.
-    memo: Dict[int, Dict[int, int]] = {}
-
-    def extensions(cand: int) -> Dict[int, int]:
-        """Packed tally of the cliques inside cand."""
-        if not cand & (cand - 1):
-            if not cand:
-                return {0: 1}
-            v = cand.bit_length() - 1
-            return {0: 1, step[v] | edges[v]: 1}
-        out = memo.get(cand)
-        if out is not None:
-            return out
-        out = {0: 1}
-        rest = cand
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            d, e = step[v], edges[v]
-            for key, c in extensions(rest & adj[v]).items():
-                key = (key + d) | e
-                out[key] = out.get(key, 0) + c
-        memo[cand] = out
-        return out
-
-    packed = {0: 1}
-    for v in range(n):
-        d, e = step[v], edges[v]
-        for key, c in extensions(adj[v] >> (v + 1) << (v + 1)).items():
-            key = (key + d) | e
-            packed[key] = packed.get(key, 0) + c
-        memo.clear()
-    field = (1 << w) - 1
-    counts: Dict[TallyKey, int] = {}
-    for key, c in packed.items():
-        j, l = key & field, (key >> w) & field
-        if j + l > max_size:
-            raise InternalError(f"clique larger than the stated bound {max_size}")
-        counts[(j, l, key >> 2 * w)] = c
-    return counts
-
-
-def face_walk(
-    adj: Sequence[int], special_mask: int, max_size: int
-) -> Tuple[Dict[Tuple[int, int], int], Tuple[int, int]]:
+) -> Tuple[Dict[TallyKey, int], Tuple[int, int]]:
     """Every clique counted, and the maximal ones, in one pivoted walk.
 
-    Returns the clique counts keyed by (plain members, special members),
-    the empty clique included, and (number of maximal cliques, smallest
-    size among them); the empty graph has one maximal clique, the empty
-    one.  Raises InternalError if a clique exceeds max_size members.
+    Returns the clique counts keyed by (plain members, special members, OR
+    of the members' edge masks), the empty clique included, where "special"
+    means the vertex is in special_mask; and (number of maximal cliques,
+    smallest size among them), the empty graph having one maximal clique,
+    the empty one.  Raises InternalError if a clique exceeds max_size
+    members.
 
     This is Bron-Kerbosch with a pivot drawn from the candidates alone, the
     one with most neighbours among them (Jain and Seshadhri, WSDM 2020).
@@ -106,20 +42,32 @@ def face_walk(
     every clique lies under exactly one leaf; a pivot drawn from the done
     set, as Tomita, Tanaka and Takahashi allow, would lose the cliques
     inside its neighbourhood.  The all-pivots clique of a leaf is maximal
-    exactly when nothing is left done there.
+    exactly when nothing is left done there.  Pivots with no edge mask are
+    counted by kind and expanded by binomials; each pivot with an edge mask
+    keeps its own bit in the leaf and is folded in at the end.
     """
     n = len(adj)
-    # A leaf is one int: held plain | held special << w | pivot plain << 2w
-    # | pivot special << 3w.  No count exceeds n < 2**w, so none carries.
+    # A key is one int: held plain | held special << w | pivot plain << 2w
+    # | pivot special << 3w | OR of held edge masks << 4w | one bit per
+    # edge-masked pivot above that.  No count exceeds n < 2**w, so none carries.
     w = max(n, 1).bit_length()
+    edge_at = 4 * w
+    named_at = edge_at + max(edge_masks, default=0).bit_length()
     held = [1 << w if (special_mask >> v) & 1 else 1 for v in range(n)]
-    pivot = [d << 2 * w for d in held]
-    leaves: Dict[int, int] = {}
+    edges = [e << edge_at for e in edge_masks]
+    pivot = [
+        1 << named_at + v if e else d << 2 * w
+        for v, (d, e) in enumerate(zip(held, edge_masks))
+    ]
+    # Bucket i holds the leaves whose highest edge-masked pivot is vertex
+    # i - 1, and bucket 0 those with none.
+    todo: List[Dict[int, int]] = [{} for _ in range(n + 1)]
     maximal: Dict[int, int] = {}
 
     def walk(key: int, cand: int, done: int) -> None:
         if not cand:
-            leaves[key] = leaves.get(key, 0) + 1
+            bucket = todo[(key >> named_at).bit_length()]
+            bucket[key] = bucket.get(key, 0) + 1
             if not done:
                 maximal[key] = maximal.get(key, 0) + 1
             return
@@ -138,25 +86,37 @@ def face_walk(
             v = low.bit_length() - 1
             branch ^= low
             nbrs = adj[v]
-            walk(key + (pivot[v] if v == p else held[v]), cand & nbrs, done & nbrs)
+            key_v = key + pivot[v] if v == p else (key + held[v]) | edges[v]
+            walk(key_v, cand & nbrs, done & nbrs)
             cand ^= low
             done |= low
 
     walk(0, (1 << n) - 1, 0)
+    # Fold the edge-masked pivots in from the highest vertex down, popping
+    # each bucket, so keys that meet on the way merge before the next fold.
+    for v in reversed(range(n)):
+        d, e, bit = held[v], edges[v], pivot[v]
+        for key, c in todo.pop().items():
+            key ^= bit
+            for folded in (key, (key + d) | e):
+                bucket = todo[(folded >> named_at).bit_length()]
+                bucket[folded] = bucket.get(folded, 0) + c
     field = (1 << w) - 1
-
-    def fields(key: int) -> List[int]:
-        return [(key >> i * w) & field for i in range(4)]
-
-    counts: Dict[Tuple[int, int], int] = {}
-    for key, c in leaves.items():
-        held_plain, held_special, pivot_plain, pivot_special = fields(key)
+    counts: Dict[TallyKey, int] = {}
+    for key, c in todo.pop().items():
+        held_plain, held_special = key & field, key >> w & field
+        pivot_plain, pivot_special = key >> 2 * w & field, key >> 3 * w & field
         if held_plain + held_special + pivot_plain + pivot_special > max_size:
             raise InternalError(f"clique larger than the stated bound {max_size}")
+        em = key >> edge_at
         for a in range(pivot_plain + 1):
             ca = c * comb(pivot_plain, a)
             for b in range(pivot_special + 1):
-                face = (held_plain + a, held_special + b)
+                face = (held_plain + a, held_special + b, em)
                 counts[face] = counts.get(face, 0) + ca * comb(pivot_special, b)
-    clusters = (sum(maximal.values()), min(sum(fields(key)) for key in maximal))
-    return counts, clusters
+
+    def size(key: int) -> int:
+        fields = sum(key >> i * w & field for i in range(4))
+        return fields + (key >> named_at).bit_count()
+
+    return counts, (sum(maximal.values()), min(map(size, maximal)))

@@ -3,14 +3,16 @@
 The positive roots of a crystallographic system are ordered by alpha <= beta
 iff beta - alpha has nonnegative coordinates; the comparabilities are closed
 from the cover relation (adding one simple root), not compared pair by pair.
-Antichains are enumerated as cliques of the incomparability graph, tallied
-by cardinality, number of simple-root members, and the set of diagram edges
-covered by the union of the members' supports.  Everything downstream (the
-Narayana, h- and full-support generating polynomials) is read off that
-tally; the inclusion-exclusion form of P splits each covered-edge set into
-diagram components (the orbits of its edges), multiplies their integer
-coefficient lists and makes one polynomial at the end.  Antichain
-enumeration is refused beyond a budget on Cat(W), the number of antichains.
+Antichains are enumerated as cliques of the incomparability graph, by the
+pivoted walk (kernels.clique_tally) that also counts the cluster complex's
+faces, and tallied by cardinality, number of simple-root members, and the
+set of diagram edges covered by the union of the members' supports.
+Everything downstream (the Narayana, h- and full-support generating
+polynomials) is read off that tally; the inclusion-exclusion form of P
+splits each covered-edge set into diagram components (the orbits of its
+edges), multiplies their integer coefficient lists and makes one polynomial
+at the end.  Antichain enumeration is refused beyond a budget on Cat(W),
+the number of antichains.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .rootsys import RootSystem, orbit, orbits
 # Both antichains and clusters number Cat(W), and this one budget caps both,
 # with no override.  Every exceptional type fits (Cat(E8) = 25,080), and so
 # do A12, B11, C11 and D11; the largest admitted, A12 (742,900), runs
-# `verify all` in about 4.6 s (4.4-5.1 s) and 50 MB, and `fpoly` in 4.5 s
-# and 35 MB, on 2 vCPUs under Python 3.11.
+# `verify all` in about 2.8 s (2.6-4.2 s) and 32 MB, and `fpoly` in 2.2 s
+# (1.6-2.9 s) and 16 MB, on 2 vCPUs under Python 3.11 (median of 6 runs).
 _CATALAN_BUDGET = 1_000_000
 
 
@@ -100,7 +102,7 @@ class AntichainTally(NamedTuple):
 
     @staticmethod
     def from_poset(poset: RootPoset) -> "AntichainTally":
-        raw = kernels.clique_tally(
+        raw, _ = kernels.clique_tally(
             poset.incomparable,
             poset.simple_mask,
             poset.edge_masks,

@@ -246,13 +246,18 @@ def test_a2_golden_h_and_f_values():
 def test_cluster_count_must_be_catalan(monkeypatch):
     rs = build_root_system("A3")
     verify_hf_conjecture(rs)
-    walk = kernels.face_walk
+    walk = kernels.clique_tally
+
+    def tamper_complex(out):
+        # only the 9-vertex complex walk; the 6-root poset's stays honest
+        def tampered_walk(adj, *args, **kwargs):
+            counts, clusters = walk(adj, *args, **kwargs)
+            return counts, out if len(adj) == 9 else clusters
+
+        return tampered_walk
+
     for tampered in ((15, 3), (14, 2)):
-        monkeypatch.setattr(
-            kernels,
-            "face_walk",
-            lambda *args, out=tampered, **kwargs: (walk(*args, **kwargs)[0], out),
-        )
+        monkeypatch.setattr(kernels, "clique_tally", tamper_complex(tampered))
         message = (
             f"A3: (maximal faces, smallest size) = {tampered}, "
             "expected (Cat(W), n) = (14, 3)"
@@ -263,13 +268,15 @@ def test_cluster_count_must_be_catalan(monkeypatch):
 
 def test_face_counts_must_match_h(monkeypatch):
     rs = build_root_system("A3")
-    walk = kernels.face_walk
+    walk = kernels.clique_tally
 
-    def one_face_off(*args, **kwargs):
-        faces, clusters = walk(*args, **kwargs)
-        return {**faces, (1, 1): faces[(1, 1)] + 1}, clusters
+    def one_face_off(adj, *args, **kwargs):
+        faces, clusters = walk(adj, *args, **kwargs)
+        if len(adj) != 9:  # only the A3 complex; the 6-root poset stays honest
+            return faces, clusters
+        return {**faces, (1, 1, 0): faces[(1, 1, 0)] + 1}, clusters
 
-    monkeypatch.setattr(kernels, "face_walk", one_face_off)
+    monkeypatch.setattr(kernels, "clique_tally", one_face_off)
     with pytest.raises(CheckFailed, match=r"^A3: H != transformed F; difference terms "):
         verify_hf_conjecture(rs)
 
