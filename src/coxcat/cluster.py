@@ -3,9 +3,10 @@
 Vertices are indexed 0..n+N-1: vertex i < n is the negative simple -alpha_i
 (node i), vertex n+j is positive root j.  Compatibility is defined through
 the two rotation maps tau, induced by the bipartition of the Coxeter diagram
-that is computed here.  They rotate every vertex at once, so each vertex's
-compatibility degrees with all vertices come out as one row.  Two vertices
-are compatible when both mutual compatibility degrees vanish, and the faces
+that is computed here; both are rootsys.compose products of reflection
+tables.  They rotate every vertex at once, so each vertex's compatibility
+degrees with all vertices come out as one row.  Two vertices are
+compatible when both mutual compatibility degrees vanish, and the faces
 of the complex are exactly the cliques of that relation.  One pivoted walk
 over that graph (kernels.clique_tally, the kernel that also tallies the
 root poset's antichains) gives both the face polynomial F and the maximal
@@ -27,7 +28,7 @@ from .poset import (
     generalized_catalan,
     h_polynomial,
 )
-from .rootsys import RootSystem, orbit
+from .rootsys import RootSystem, compose, orbit
 
 
 def _check_crystallographic(rs: RootSystem) -> None:
@@ -69,8 +70,7 @@ def _tau_tables(rs: RootSystem) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     for part in _bipartition(rs.rank, rs.edges):
         sigma = rs.identity_table()
         for i in sorted(part):
-            s = rs.simple_tables[i]
-            sigma = tuple(s[x] for x in sigma)
+            sigma = compose(rs.simple_tables[i], sigma)
         images = []
         for v in range(n + N):
             if v < n:
@@ -115,14 +115,14 @@ def _compatibility_rows(rs: RootSystem) -> Tuple[bytes, ...]:
         waiting = []
         for u in pending:
             if position[u] < n:
-                rows[u] = bytes(map(coordinate[position[u]].__getitem__, position))
+                rows[u] = bytes(compose(coordinate[position[u]], position))
             else:
                 waiting.append(u)
         pending = waiting
         if not pending:
             return tuple(rows)
         tau = tau_minus if steps % 2 else tau_plus
-        position = tuple(map(tau.__getitem__, position))
+        position = compose(tau, position)
     raise InternalError(f"{rs.label}: compatibility rotation exceeded {bound}")
 
 

@@ -1,10 +1,11 @@
 """Brute-force reflection groups as permutations of the root indices.
 
 An element is the tuple g with g[x] = index of the image of root x, over
-all 2N roots (positives first, negative of positive j at N + j).  A group
-is the orbit of the identity under the simple reflections; conjugacy
-classes are found by orbit partition under conjugation by the generators,
-and class labels from the cycles, again orbits, of a (signed) permutation.
+all 2N roots (positives first, negative of positive j at N + j), and
+elements multiply by rootsys.compose.  A group is the orbit of the
+identity under the simple reflections; conjugacy classes are found by
+orbit partition under conjugation by the generators, and class labels
+from the cycles, again orbits, of a (signed) permutation.
 A group whose element table, |W| tables of 2N entries, exceeds the group
 budget is refused before any element is built.
 """
@@ -16,14 +17,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapacityExceeded, CheckFailed, InternalError, UsageError
 from .exact import command_cache
-from .rootsys import RootSystem, orbit, orbits
+from .rootsys import RootSystem, compose, orbit, orbits
 
 _GROUP_BUDGET = 1_000_000  # entries |W| * 2N of the element table
-
-
-def compose(g: tuple, h: tuple) -> tuple:
-    """g after h."""
-    return tuple(g[x] for x in h)
 
 
 class ConjugacyClass(NamedTuple):

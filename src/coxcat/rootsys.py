@@ -18,13 +18,15 @@ construction and safe to share across threads.
 That closure is one `orbit` (all that moves reach from some seeds), and
 `orbits` splits a set into orbits; the group elements and classes, flats,
 diagram components, cycles and antichain witnesses of the other modules all
-come from these two.
+come from these two.  Tables are multiplied by `compose` alone: the group
+elements and their conjugates, and the cluster complex's rotations.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Tuple
 
 from .errors import InternalError, UsageError
@@ -114,6 +116,15 @@ def _cartan_matrix(family: str, n: int, edges: list):
     return a
 
 
+def compose(g: tuple, h: tuple) -> tuple:
+    """g after h, as one lookup of every entry of h in g.
+
+    Every table has at least 2 entries (A1 has 2N = 2), and itemgetter with
+    two or more indices returns a tuple, never a bare entry.
+    """
+    return itemgetter(*h)(g)
+
+
 def orbit(seeds, moves) -> list:
     """The seeds, once each, then all that repeated moves(x) reach, in first-reached order."""
     reached = list(dict.fromkeys(seeds))
@@ -138,10 +149,6 @@ def orbits(items, moves) -> list:
     return out
 
 
-def _zero_like(family: str):
-    return GoldenNumber(0) if family == "H" else 0
-
-
 def _simple_image(cartan, coords: tuple, i: int) -> tuple:
     pairing = sum((cartan[i][j] * coords[j] for j in range(len(coords))),
                   start=cartan[i][i] * 0)
@@ -150,19 +157,16 @@ def _simple_image(cartan, coords: tuple, i: int) -> tuple:
     return tuple(out)
 
 
-def _close_positive_roots(family: str, n: int, cartan: tuple) -> dict:
-    """Each positive root's coordinates, mapped to its n simple-reflection images.
+def _close_positive_roots(n: int, cartan: tuple) -> Tuple[list, dict]:
+    """The simple roots' coordinates, and each positive root's coordinates
+    mapped to its n simple-reflection images.
 
     Every root is closed over once, so each image is computed once here and
     the permutation tables are read off these images.
     """
-    zero = _zero_like(family)
+    zero = cartan[0][0] * 0  # an int, or a GoldenNumber for H3 and H4
     one = zero + 1
-    simples = []
-    for i in range(n):
-        coords = [zero] * n
-        coords[i] = one
-        simples.append(tuple(coords))
+    simples = [tuple(one if j == i else zero for j in range(n)) for i in range(n)]
     images = {}
 
     def moves(coords):
@@ -172,7 +176,7 @@ def _close_positive_roots(family: str, n: int, cartan: tuple) -> dict:
         return [image for i, image in enumerate(row) if image[i] >= 0]
 
     orbit(simples, moves)
-    return images
+    return simples, images
 
 
 class RootSystem:
@@ -203,17 +207,17 @@ class RootSystem:
     # -- construction ------------------------------------------------------
 
     def _build_coordinates(self) -> None:
-        images = _close_positive_roots(self.family, self.rank, self.cartan)
-        positives = sorted(images, key=lambda c: (sum(c[1:], start=c[0]), c))
+        simples, images = _close_positive_roots(self.rank, self.cartan)
+        # the canonical order: by height, then coordinates
+        self.heights, positives = zip(*sorted((sum(c[1:], start=c[0]), c) for c in images))
         n_pos = len(positives)
-        self.positive_roots = tuple(positives)
+        self.positive_roots = positives
         self.n_positive = n_pos
         index = {}
         for j, coords in enumerate(positives):
             index[coords] = j
             index[tuple(-c for c in coords)] = n_pos + j
         self._index = index
-        self.heights = tuple(sum(c[1:], start=c[0]) for c in positives)
         self.supports = tuple(
             frozenset(i for i, c in enumerate(coords) if c != 0)
             for coords in positives
@@ -224,7 +228,7 @@ class RootSystem:
             half = [index[images[coords][i]] for coords in positives]
             tables.append(tuple(half + [self.neg(x) for x in half]))
         self.simple_tables = tuple(tables)
-        self.simple_positions = tuple(self._simple_indices())
+        self.simple_positions = tuple(index[coords] for coords in simples)
         if self.crystallographic:
             counts = {}
             for h in self.heights:
@@ -236,16 +240,6 @@ class RootSystem:
             self.exponents = tuple(sorted(conj))
         else:
             self.exponents = _H_EXPONENTS[self.rank]
-
-    def _simple_indices(self) -> list:
-        zero = _zero_like(self.family)
-        one = zero + 1
-        out = []
-        for i in range(self.rank):
-            coords = [zero] * self.rank
-            coords[i] = one
-            out.append(self._index[tuple(coords)])
-        return out
 
     def _build_dihedral(self) -> None:
         m = self.m

@@ -6,9 +6,10 @@ from math import comb
 
 import pytest
 
-from coxcat import kernels
+from coxcat import cluster, kernels
 from coxcat.cluster import (
     _bipartition,
+    _compatibility_rows,
     _tau_tables,
     ClusterComplex,
     compatibility_degree,
@@ -85,6 +86,21 @@ def test_tau_tables_match_the_per_call_rotation(label):
     for eps, table in zip((1, -1), _tau_tables(rs)):
         for v in range(vertex_count(rs)):
             assert table[v] == reference_tau_map(rs, eps, v), (eps, v)
+
+
+def reference_compose(g, h):
+    """The composition rootsys.compose replaced, kept as the reference: g after h."""
+    return tuple(g[x] for x in h)
+
+
+@pytest.mark.parametrize("label", BUDGET_TYPES)
+def test_rotations_and_rows_are_the_same_under_the_reference_composition(label, monkeypatch):
+    rs = build_root_system(label)
+    tau = _tau_tables(rs)
+    rows = _compatibility_rows.__wrapped__(rs)
+    monkeypatch.setattr(cluster, "compose", reference_compose)
+    assert _tau_tables(rs) == tau
+    assert _compatibility_rows.__wrapped__(rs) == rows
 
 
 def test_tau_orbit_size_divides_h_plus_2_on_a2():

@@ -2,18 +2,19 @@
 
 import pytest
 
+from coxcat import cluster, groups
+from coxcat.cli import main
 from coxcat.errors import CapacityExceeded, InternalError, UsageError
 from coxcat.exact import centralizer_order, partitions_of
 from coxcat.groups import (
     check_B_lemma,
     chi_R,
-    compose,
     generate_group,
     has_positive_short_cycle,
     permutation_of_letters,
     signed_cycle_type,
 )
-from coxcat.rootsys import build_root_system
+from coxcat.rootsys import build_root_system, compose
 
 
 def test_a2_group():
@@ -38,6 +39,74 @@ def test_composition_and_inverse():
         inverse = tuple(sorted(range(len(g)), key=g.__getitem__))
         assert compose(g, inverse) == identity
         assert compose(inverse, g) == identity
+
+
+def reference_compose(g: tuple, h: tuple) -> tuple:
+    """The generator composition rootsys.compose replaced, kept as the reference: g after h."""
+    return tuple(g[x] for x in h)
+
+
+# types inside the group budget, up to I2(500), whose |W| * 2N is the budget itself
+GROUP_BUDGET_LABELS = (
+    [f"A{n}" for n in range(1, 7)]
+    + [f"B{n}" for n in range(2, 6)]
+    + ["C3", "C4", "C5", "D4", "D5", "F4", "G2", "H3", "I2(5)", "I2(8)", "I2(128)", "I2(500)"]
+)
+
+
+@pytest.mark.parametrize("label", GROUP_BUDGET_LABELS)
+def test_group_is_the_same_under_the_reference_composition(label, monkeypatch):
+    rs = build_root_system(label)
+    group = generate_group.__wrapped__(rs)
+    monkeypatch.setattr(groups, "compose", reference_compose)
+    reference = generate_group.__wrapped__(rs)
+    assert group.elements == reference.elements
+    # (rep, size, label) of every class
+    assert group.classes == reference.classes
+    # generation and conjugation by involutions cannot tell g after h from
+    # h after g, so the products themselves are compared in both orders
+    for g in group.elements[:: max(1, len(group.elements) // 64)]:
+        for s in rs.simple_tables:
+            assert compose(g, s) == reference_compose(g, s)
+            assert compose(s, g) == reference_compose(s, g)
+
+
+def test_composing_two_entry_tables_gives_a_tuple():
+    # itemgetter with one index would give a bare entry; two give a tuple,
+    # also from the bytes rows the cluster complex reads
+    assert compose((1, 0), (1, 0)) == (0, 1)
+    assert compose((1, 0), (0, 1)) == (1, 0)
+    assert compose(b"\x07\x09", (1, 0)) == (9, 7)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "all", "A1"],
+        ["os-character", "A1"],
+        ["fpoly", "A1"],
+        ["verify", "all", "G2"],
+        ["verify", "all", "I2(5)"],
+    ],
+    ids=" ".join,
+)
+def test_every_table_a_command_composes_has_two_entries_or_more(argv, monkeypatch, capsys):
+    shapes = []
+
+    def spy(g, h):
+        out = compose(g, h)
+        shapes.append((len(g), len(h), type(out)))
+        return out
+
+    monkeypatch.setattr(groups, "compose", spy)
+    monkeypatch.setattr(cluster, "compose", spy)
+    assert main(argv) == 0
+    assert shapes
+    assert min(min(len_g, len_h) for len_g, len_h, _ in shapes) >= 2
+    assert {kind for _, _, kind in shapes} == {tuple}
+    if argv[-1] == "A1":
+        # A1's reflection tables (2N = 2) and rotation positions (n + N = 2)
+        assert min(len_h for _, len_h, _ in shapes) == 2
 
 
 def test_orders():

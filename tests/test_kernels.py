@@ -249,11 +249,13 @@ def replaced_engines(adj, special_mask, edge_masks, max_size):
 
     The candidate-set tally gives the counts and face_walk the maximal
     pair; face_walk's own counts must be the tally with edge masks summed
-    out, and the pair must not depend on the edge masks.
+    out, its pair must be the one maximal_cliques finds, and the pair must
+    not depend on the edge masks.
     """
     tally = candidate_set_tally(adj, special_mask, edge_masks, max_size)
     faces, maximal = face_walk(adj, special_mask, max_size)
     assert faces == plain_faces(tally)
+    assert maximal == maximal_cliques(adj)
     return tally, maximal
 
 

@@ -479,7 +479,7 @@ def test_straightening_commutes_with_action():
         h = group.elements[rng.randrange(len(group.elements))]
         hmap_g = hyperplane_map(rs, g)
         hmap_h = hyperplane_map(rs, h)
-        from coxcat.groups import compose
+        from coxcat.rootsys import compose
 
         hmap_gh = hyperplane_map(rs, compose(g, h))
         mono = monomials[rng.randrange(len(monomials))]
@@ -502,7 +502,7 @@ def test_traces_are_class_functions():
         base = [algebra.degree_trace(hyperplane_map(rs, cls.rep), k) for k in range(4)]
         # conjugating the representative must not change any trace
         g = group.elements[rng.randrange(len(group.elements))]
-        from coxcat.groups import compose
+        from coxcat.rootsys import compose
 
         inverse = tuple(sorted(range(len(g)), key=g.__getitem__))
         conj = compose(compose(g, cls.rep), inverse)
