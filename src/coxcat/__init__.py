@@ -29,7 +29,7 @@ _EXPORTS = {
     "poset": "AntichainTally RootPoset check_antichain_lemmas enumerate_antichains "
     "generalized_catalan h_polynomial narayana_polynomial p_polynomial_direct p_polynomial_mobius",
     "cluster": "ClusterComplex compatibility_degree f_polynomial verify_hf_conjecture",
-    "groups": "ConjugacyClass GroupData check_B_lemma chi_R generate_group signed_cycle_type",
+    "groups": "ConjugacyClass check_B_lemma chi_R generate_group signed_cycle_type",
     "osalgebra": "GradedCharacter check_B_gprime_lemma check_dihedral check_dimension_identity "
     "g_prime_character os_graded_character verify_main_conjecture",
     "symfunc": "SeriesBundle SymFunc calibrate_sigma_t_lie calibrated_bundle chi_R_typeA plethysm "

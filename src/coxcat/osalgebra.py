@@ -218,9 +218,9 @@ def hyperplane_map(rs: RootSystem, g: tuple) -> tuple:
 
 
 class GradedCharacter(NamedTuple):
-    """chars[i] is the graded character of classes[i], the classes of
-    generate_group(rs), so class 0 is the identity's.  os_graded_character
-    caches one per root system."""
+    """chars[i] is the graded character of classes[i]; classes is the table
+    generate_group(rs) returns, so class 0 is the identity's.
+    os_graded_character caches one per root system."""
 
     rs: RootSystem
     classes: Tuple[ConjugacyClass, ...]
@@ -335,7 +335,7 @@ def os_graded_character(rs: RootSystem) -> GradedCharacter:
 
     Cached per root system; the flat lattice itself is not kept.
     """
-    classes = generate_group(rs).classes
+    classes = generate_group(rs)
     lattice = flat_lattice(rs)
     return _checked_character(
         rs, classes, [lattice.character(hyperplane_map(rs, cls.rep)) for cls in classes]
@@ -344,7 +344,7 @@ def os_graded_character(rs: RootSystem) -> GradedCharacter:
 
 def nbc_graded_character(rs: RootSystem) -> GradedCharacter:
     """The same character, chi(g)(t) = sum_k tr(g|OS_k) (-t)^k, from NBC bases."""
-    classes = generate_group(rs).classes
+    classes = generate_group(rs)
     algebra = build_os_algebra(rs)
     chars = []
     for cls in classes:

@@ -16,10 +16,11 @@ a permutation table of the root indices.  A RootSystem is immutable after
 construction and safe to share across threads.
 
 That closure is one `orbit` (all that moves reach from some seeds), and
-`orbits` splits a set into orbits; the group elements and classes, flats,
-diagram components, cycles and antichain witnesses of the other modules all
-come from these two.  Tables are multiplied by `compose` alone: the group
-elements and their conjugates, and the cluster complex's rotations.
+`orbits` splits a set into orbits, yielded one at a time; the group elements
+and classes, flats, diagram components, cycles and antichain witnesses of
+the other modules all come from these two.  Tables are multiplied by
+`compose` alone: the group elements and their conjugates, and the cluster
+complex's rotations.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import itemgetter
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .errors import InternalError, UsageError
 from .exact import GoldenNumber, PHI, command_cache, conjugate_partition
@@ -137,16 +138,16 @@ def orbit(seeds, moves) -> list:
     return reached
 
 
-def orbits(items, moves) -> list:
-    """Split items into orbits, smallest seed first; moves must be symmetric
-    (a group action or an undirected graph) and stay inside items."""
+def orbits(items, moves) -> Iterator[list]:
+    """Split items into orbits, smallest seed first, and yield each as it is
+    found, so no orbit is held after its reader moves on; moves must be
+    symmetric (a group action or an undirected graph) and stay inside items."""
     remaining = set(items)
-    out = []
     for seed in sorted(remaining):
         if seed in remaining:
-            out.append(orbit([seed], moves))
-            remaining.difference_update(out[-1])
-    return out
+            found = orbit([seed], moves)
+            remaining.difference_update(found)
+            yield found
 
 
 def _simple_image(cartan, coords: tuple, i: int) -> tuple:

@@ -181,7 +181,7 @@ def test_vacuous_checks_pass_with_note(capsys):
 
 
 def test_verify_all_skips_oversized_oracles(capsys):
-    code, out, _ = run_cli(capsys, "verify", "all", "E6")
+    code, out, _ = run_cli(capsys, "verify", "all", "E7")
     assert code == 0
     assert "outside oracle capacity" in out
 
@@ -333,17 +333,34 @@ def test_os_character_runs_past_the_former_root_cap(capsys):
 
 
 def test_verify_main_runs_up_to_the_group_budget(capsys):
-    # |W| * 2N = 1000 * 1000, the largest dihedral element table admitted
-    code, out, err = run_cli(capsys, "verify", "main", "I2(500)", "--json")
+    # |W| * 2N = 2000 * 2000, the largest dihedral element table admitted
+    code, out, err = run_cli(capsys, "verify", "main", "I2(1000)", "--json")
     assert (code, err) == (0, "")
     (report,) = json.loads(out)["reports"]
     assert report["status"] == "pass"
-    assert (report["details"]["classes"], report["details"]["full_count"]) == (253, 498)
+    assert (report["details"]["classes"], report["details"]["full_count"]) == (503, 998)
+
+
+@pytest.mark.parametrize(
+    "check, label, details",
+    [
+        # |W| * 2N = 51840 * 72 = 3732480, the largest non-dihedral table admitted
+        ("main", "E6", {"classes": 25, "full_count": 7, "identity_lhs": 362880}),
+        # |W| * 2N = 46080 * 72 = 3317760
+        ("b-lemmas", "B6", {"classes": 65, "vanishing_checked": 45}),
+    ],
+)
+def test_group_checks_run_on_the_largest_admitted_types(capsys, check, label, details):
+    code, out, err = run_cli(capsys, "verify", check, label, "--json")
+    assert (code, err) == (0, "")
+    (report,) = json.loads(out)["reports"]
+    assert report["status"] == "pass"
+    assert report["details"] == details
 
 
 def test_verify_main_refuses_a_group_over_the_budget(capsys):
-    assert run_cli(capsys, "verify", "main", "I2(501)") == (
-        2, "", "coxcat: I2(501): |W| * 2N = 1004004 exceeds the group budget 1000000\n"
+    assert run_cli(capsys, "verify", "main", "I2(1001)") == (
+        2, "", "coxcat: I2(1001): |W| * 2N = 4008004 exceeds the group budget 4000000\n"
     )
 
 
@@ -354,7 +371,7 @@ def test_verify_all_notes_the_group_budget_beyond_it(capsys):
     entries = math.factorial(17) * 2 * 136
     assert note == (
         "not applicable: outside oracle capacity "
-        f"(A16: |W| * 2N = {entries} exceeds the group budget 1000000)"
+        f"(A16: |W| * 2N = {entries} exceeds the group budget 4000000)"
     )
 
 

@@ -28,7 +28,7 @@ from coxcat.osalgebra import (
     reflection_class_indices,
     verify_main_conjecture,
 )
-from coxcat.rootsys import build_root_system
+from coxcat.rootsys import build_root_system, compose, orbit
 from coxcat.symfunc import calibrated_bundle, class_value
 
 ORACLE_TYPES = ("A1", "A2", "A3", "B2", "B3", "I2(5)", "I2(6)", "I2(7)", "I2(8)", "H3")
@@ -466,21 +466,25 @@ def test_uniform_matroid_dims():
         assert algebra.dims == (1, m, m - 1)
 
 
+def walked_elements(rs):
+    """W, sorted: one walk of the identity under the simple reflections."""
+    gens = rs.simple_tables
+    return sorted(orbit([rs.identity_table()], lambda g: [compose(s, g) for s in gens]))
+
+
 def test_straightening_commutes_with_action():
     # acting then straightening equals straightening then acting, checked on
     # random independent monomials and random group elements
     rs = build_root_system("B3")
-    group = generate_group(rs)
+    elements = walked_elements(rs)
     algebra = build_os_algebra(rs)
     rng = random.Random(23)
     monomials = [m for level in algebra.nbc[1:] for m in level]
     for _ in range(25):
-        g = group.elements[rng.randrange(len(group.elements))]
-        h = group.elements[rng.randrange(len(group.elements))]
+        g = elements[rng.randrange(len(elements))]
+        h = elements[rng.randrange(len(elements))]
         hmap_g = hyperplane_map(rs, g)
         hmap_h = hyperplane_map(rs, h)
-        from coxcat.rootsys import compose
-
         hmap_gh = hyperplane_map(rs, compose(g, h))
         mono = monomials[rng.randrange(len(monomials))]
         # act by h, then by g, on the straightened result
@@ -495,15 +499,13 @@ def test_straightening_commutes_with_action():
 
 def test_traces_are_class_functions():
     rs = build_root_system("A3")
-    group = generate_group(rs)
+    elements = walked_elements(rs)
     algebra = build_os_algebra(rs)
     rng = random.Random(5)
-    for cls in group.classes:
+    for cls in generate_group(rs):
         base = [algebra.degree_trace(hyperplane_map(rs, cls.rep), k) for k in range(4)]
         # conjugating the representative must not change any trace
-        g = group.elements[rng.randrange(len(group.elements))]
-        from coxcat.rootsys import compose
-
+        g = elements[rng.randrange(len(elements))]
         inverse = tuple(sorted(range(len(g)), key=g.__getitem__))
         conj = compose(compose(g, cls.rep), inverse)
         other = [algebra.degree_trace(hyperplane_map(rs, conj), k) for k in range(4)]

@@ -26,8 +26,7 @@ EXPORTS = {
               "generalized_catalan", "h_polynomial", "narayana_polynomial",
               "p_polynomial_direct", "p_polynomial_mobius"],
     "cluster": ["ClusterComplex", "compatibility_degree", "f_polynomial", "verify_hf_conjecture"],
-    "groups": ["ConjugacyClass", "GroupData", "check_B_lemma", "chi_R", "generate_group",
-               "signed_cycle_type"],
+    "groups": ["ConjugacyClass", "check_B_lemma", "chi_R", "generate_group", "signed_cycle_type"],
     "osalgebra": ["GradedCharacter", "check_B_gprime_lemma", "check_dihedral",
                   "check_dimension_identity", "g_prime_character", "os_graded_character",
                   "verify_main_conjecture"],
@@ -127,14 +126,6 @@ def test_value_types_keep_their_fields_in_order(module, name, fields):
     assert cls._fields == fields
     value = cls(*(f"<{field}>" for field in fields))
     assert [getattr(value, field) for field in fields] == [f"<{field}>" for field in fields]
-
-
-def test_group_data_is_positional_and_hashed_by_identity():
-    from coxcat.groups import GroupData
-
-    a, b = GroupData("rs", (), ()), GroupData("rs", (), ())
-    assert (a.rs, a.elements, a.classes) == ("rs", (), ())
-    assert a != b and len({a: 1, b: 2}) == 2
 
 
 def test_verification_reports_do_not_share_their_defaults():

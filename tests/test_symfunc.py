@@ -576,10 +576,10 @@ def test_chi_r_typeA_values():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_chi_r_typeA_matches_root_action_characters(n):
     rs = build_root_system(f"A{n - 1}")
-    group = generate_group(rs)
-    values = chi_R(rs, group.classes)
-    assert len(group.classes) == len(list(partitions_of(n)))
-    for cls, val in zip(group.classes, values):
+    classes = generate_group(rs)
+    values = chi_R(rs, classes)
+    assert len(classes) == len(list(partitions_of(n)))
+    for cls, val in zip(classes, values):
         assert val == chi_R_typeA(cls.label)
 
 
