@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 # exported names, space-separated, by the submodule that defines them
 _EXPORTS = {
     "errors": "CapacityExceeded CheckFailed CoxcatError InternalError UsageError",
-    "exact": "BiPoly GoldenNumber UniPoly bipoly_substitute partitions_of unipoly_divide_exact",
+    "exact": "BiPoly GoldenNumber UniPoly bipoly_substitute partitions_of",
     "rootsys": "RootSystem build_root_system",
     "poset": "AntichainTally RootPoset check_antichain_lemmas enumerate_antichains "
     "generalized_catalan h_polynomial narayana_polynomial p_polynomial_direct p_polynomial_mobius",

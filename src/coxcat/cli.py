@@ -7,6 +7,10 @@ check ran and found a violation, 2 means the request itself was invalid
 (unknown label, unknown check, or a computation outside the documented
 capacity limits), and 141 means the reader of stdout closed it early.
 
+Each `cmd_*` computes and writes nothing: it returns its exit code, its
+JSON payload and its text lines, the lines as a generator, so a `--json`
+call formats no text.  `main` is the one place that writes stdout.
+
 Start-up is part of every call, so a command imports only the modules it
 runs: each `cmd_*` imports its own.  No coxcat module imports the standard
 library's data classes, which would pull `inspect` into every call.
@@ -27,13 +31,7 @@ from .exact import COMMAND_CACHES, centralizer_order, format_rational, partition
 from .reports import CHECK_NAMES, jsonable, run_all_checks, run_check
 
 
-def _emit_json(payload) -> None:
-    """Print one JSON line; exact values (Fraction, Z[phi], polynomials) become text."""
-    sys.stdout.write(json.dumps(jsonable(payload), sort_keys=True, separators=(", ", ": ")))
-    sys.stdout.write("\n")
-
-
-def cmd_table(args) -> int:
+def cmd_table(args):
     from .rootsys import build_root_system
 
     rows = []
@@ -52,32 +50,27 @@ def cmd_table(args) -> int:
                 "match": report.passed,
             }
         )
-    passed = all(row["match"] for row in rows)
-    if args.json:
-        _emit_json({"rows": rows})
-        return 0 if passed else 1
-    header = ("type", "n", "h", "|W|", "exponents", "f counted", "f formula", "match")
-    table = [header]
-    for row in rows:
-        table.append(
-            (
-                row["type"],
-                str(row["rank"]),
-                str(row["coxeter_number"]),
-                str(row["order"]),
-                ",".join(str(e) for e in row["exponents"]),
-                str(row["full_counted"]),
-                row["full_formula"],
-                "ok" if row["match"] else "MISMATCH",
+
+    def lines():
+        header = ("type", "n", "h", "|W|", "exponents", "f counted", "f formula", "match")
+        table = [header]
+        for row in rows:
+            # the row's keys are the columns, in order
+            cells = dict(
+                row,
+                exponents=",".join(str(e) for e in row["exponents"]),
+                match="ok" if row["match"] else "MISMATCH",
             )
-        )
-    widths = [max(len(line[i]) for line in table) for i in range(len(header))]
-    for line in table:
-        print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
-    return 0 if passed else 1
+            table.append(tuple(str(cell) for cell in cells.values()))
+        widths = [max(len(line[i]) for line in table) for i in range(len(header))]
+        for line in table:
+            yield "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
+
+    passed = all(row["match"] for row in rows)
+    return (0 if passed else 1), {"rows": rows}, lines()
 
 
-def cmd_roots(args) -> int:
+def cmd_roots(args):
     from .rootsys import build_root_system
 
     rs = build_root_system(args.type)
@@ -87,36 +80,35 @@ def cmd_roots(args) -> int:
         if rs.heights is not None:
             entry["height"] = rs.heights[j]
         roots.append(entry)
-    if args.json:
-        _emit_json(
-            {
-                "type": rs.label,
-                "rank": rs.rank,
-                "n_positive": rs.n_positive,
-                "exponents": rs.exponents,
-                "coxeter_number": rs.coxeter_number,
-                "order": rs.order,
-                "full_reflections": rs.full_reflection_count(),
-                "formula": rs.formula_value(),
-                "simple_positions": rs.simple_positions,
-                "roots": roots,
-            }
+    payload = {
+        "type": rs.label,
+        "rank": rs.rank,
+        "n_positive": rs.n_positive,
+        "exponents": rs.exponents,
+        "coxeter_number": rs.coxeter_number,
+        "order": rs.order,
+        "full_reflections": rs.full_reflection_count(),
+        "formula": rs.formula_value(),
+        "simple_positions": rs.simple_positions,
+        "roots": roots,
+    }
+
+    def lines():
+        yield (
+            f"{rs.label}: {rs.n_positive} positive roots, exponents "
+            + ",".join(str(e) for e in rs.exponents)
+            + f", h={rs.coxeter_number}, |W|={rs.order}, full reflections "
+            + f"{payload['full_reflections']} (formula {format_rational(payload['formula'])})"
         )
-        return 0
-    print(
-        f"{rs.label}: {rs.n_positive} positive roots, exponents "
-        + ",".join(str(e) for e in rs.exponents)
-        + f", h={rs.coxeter_number}, |W|={rs.order}, full reflections "
-        + f"{rs.full_reflection_count()} (formula {format_rational(rs.formula_value())})"
-    )
-    print("simples at " + ",".join(str(p) for p in rs.simple_positions))
-    for entry in roots:
-        height = f"  height {entry['height']}" if "height" in entry else ""
-        print(f"  {entry['index']:>3}  {entry['name']}{height}")
-    return 0
+        yield "simples at " + ",".join(str(p) for p in rs.simple_positions)
+        for entry in roots:
+            height = f"  height {entry['height']}" if "height" in entry else ""
+            yield f"  {entry['index']:>3}  {entry['name']}{height}"
+
+    return 0, payload, lines()
 
 
-def cmd_antichains(args) -> int:
+def cmd_antichains(args):
     from .poset import (
         enumerate_antichains,
         h_polynomial,
@@ -130,25 +122,18 @@ def cmd_antichains(args) -> int:
     narayana = narayana_polynomial(tally)
     h_poly = h_polynomial(tally)
     p_poly = p_polynomial_direct(tally)
-    if args.json:
-        _emit_json(
-            {
-                "type": rs.label,
-                "total": tally.total,
-                "narayana": narayana,
-                "h": h_poly,
-                "p": p_poly,
-            }
-        )
-        return 0
-    print(f"{rs.label}: {tally.total} antichains")
-    print(f"  N(x)    = {narayana!r}")
-    print(f"  H(x, y) = {h_poly!r}")
-    print(f"  P(x)    = {p_poly!r}")
-    return 0
+
+    def lines():
+        yield f"{rs.label}: {tally.total} antichains"
+        yield f"  N(x)    = {narayana!r}"
+        yield f"  H(x, y) = {h_poly!r}"
+        yield f"  P(x)    = {p_poly!r}"
+
+    payload = {"type": rs.label, "total": tally.total, "narayana": narayana, "h": h_poly, "p": p_poly}
+    return 0, payload, lines()
 
 
-def cmd_fpoly(args) -> int:
+def cmd_fpoly(args):
     from .cluster import ClusterComplex
     from .rootsys import build_root_system
 
@@ -156,24 +141,23 @@ def cmd_fpoly(args) -> int:
     complex_ = ClusterComplex(rs)
     f_poly = complex_.f_tally()
     n_max, min_size = complex_.maximal_face_count()
-    if args.json:
-        _emit_json(
-            {
-                "type": rs.label,
-                "vertices": complex_.n_vertices,
-                "f": f_poly,
-                "maximal_faces": n_max,
-                "min_maximal_size": min_size,
-            }
-        )
-        return 0
-    print(f"{rs.label}: cluster complex on {complex_.n_vertices} vertices")
-    print(f"  F(x, y) = {f_poly!r}")
-    print(f"  maximal faces: {n_max} (smallest has size {min_size})")
-    return 0
+
+    def lines():
+        yield f"{rs.label}: cluster complex on {complex_.n_vertices} vertices"
+        yield f"  F(x, y) = {f_poly!r}"
+        yield f"  maximal faces: {n_max} (smallest has size {min_size})"
+
+    payload = {
+        "type": rs.label,
+        "vertices": complex_.n_vertices,
+        "f": f_poly,
+        "maximal_faces": n_max,
+        "min_maximal_size": min_size,
+    }
+    return 0, payload, lines()
 
 
-def cmd_os_character(args) -> int:
+def cmd_os_character(args):
     from .osalgebra import g_prime_character, os_graded_character
     from .rootsys import build_root_system
 
@@ -191,34 +175,27 @@ def cmd_os_character(args) -> int:
                 "g_prime": Fraction(val),
             }
         )
-    if args.json:
-        _emit_json(
-            {
-                "type": rs.label,
-                "dims": list(gc.dims),
-                "classes": classes,
-            }
-        )
-        return 0
-    print(f"{rs.label}: graded dimensions {', '.join(str(d) for d in gc.dims)}")
-    for entry in classes:
-        print(
-            f"  {entry['class']:<28} chi = {entry['character']!r}"
-            f"   chi_G' = {format_rational(entry['g_prime'])}"
-        )
-    return 0
+
+    def lines():
+        yield f"{rs.label}: graded dimensions {', '.join(str(d) for d in gc.dims)}"
+        for entry in classes:
+            yield (
+                f"  {entry['class']:<28} chi = {entry['character']!r}"
+                f"   chi_G' = {format_rational(entry['g_prime'])}"
+            )
+
+    return 0, {"type": rs.label, "dims": list(gc.dims), "classes": classes}, lines()
 
 
-def cmd_gerst(args) -> int:
+def cmd_gerst(args):
     from .symfunc import calibrated_bundle, class_value
 
     max_degree = args.max_degree
     bundle = calibrated_bundle(max_degree + 2)
-    gerst_report = run_check("gerst", "A2", max_degree=max_degree)
-    bonzero_report = run_check("bonzero", "A2", max_degree=max_degree)
-    # the series checks do not depend on any one type label
-    gerst_report.type_label = "-"
-    bonzero_report.type_label = "-"
+    reports = [run_check(check, "A2", max_degree=max_degree) for check in ("gerst", "bonzero")]
+    for report in reports:
+        # the series checks do not depend on any one type label
+        report.type_label = "-"
     degrees = []
     for n in range(1, max_degree + 1):
         rows = []
@@ -231,38 +208,33 @@ def cmd_gerst(args) -> int:
                 }
             )
         degrees.append({"degree": n, "classes": rows})
-    if args.json:
-        _emit_json(
-            {
-                "max_degree": max_degree,
-                "twist": bundle.twist,
-                "degrees": degrees,
-                "checks": [gerst_report.to_json(), bonzero_report.to_json()],
-            }
-        )
-    else:
-        print(f"series truncation {max_degree}, sign twist: {bundle.twist}")
+
+    def lines():
+        yield f"series truncation {max_degree}, sign twist: {bundle.twist}"
         for block in degrees:
-            print(f"degree {block['degree']}:")
+            yield f"degree {block['degree']}:"
             for row in block["classes"]:
                 lam = ",".join(str(x) for x in row["class"])
-                print(f"  chi(C[{lam}]) = {row['character']!r}")
-        print(gerst_report.render())
-        print(bonzero_report.render())
-    return 0 if gerst_report.passed and bonzero_report.passed else 1
+                yield f"  chi(C[{lam}]) = {row['character']!r}"
+        yield from (report.render() for report in reports)
+
+    payload = {
+        "max_degree": max_degree,
+        "twist": bundle.twist,
+        "degrees": degrees,
+        "checks": [report.to_json() for report in reports],
+    }
+    return (0 if all(r.passed for r in reports) else 1), payload, lines()
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     if args.check == "all":
         reports = run_all_checks(args.type, max_degree=args.max_degree)
     else:
         reports = [run_check(args.check, args.type, max_degree=args.max_degree)]
-    if args.json:
-        _emit_json({"reports": [r.to_json() for r in reports]})
-    else:
-        for report in reports:
-            print(report.render())
-    return 0 if all(r.passed for r in reports) else 1
+    payload = {"reports": [report.to_json() for report in reports]}
+    passed = all(report.passed for report in reports)
+    return (0 if passed else 1), payload, (report.render() for report in reports)
 
 
 # The series cost about triples every four degrees: on 2 vCPUs `gerst
@@ -306,54 +278,37 @@ def build_parser() -> argparse.ArgumentParser:
         "characters, and the power-sum series pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_table = sub.add_parser("table", help="summary table with full-reflection counts")
-    p_table.add_argument("types", nargs="+", metavar="TYPE")
-    p_table.add_argument("--json", action="store_true")
-    p_table.set_defaults(func=cmd_table)
-
-    p_roots = sub.add_parser("roots", help="positive roots in canonical order")
-    p_roots.add_argument("type", metavar="TYPE")
-    p_roots.add_argument("--json", action="store_true")
-    p_roots.set_defaults(func=cmd_roots)
-
-    p_anti = sub.add_parser("antichains", help="antichain counts and polynomials")
-    p_anti.add_argument("type", metavar="TYPE")
-    p_anti.add_argument("--json", action="store_true")
-    p_anti.set_defaults(func=cmd_antichains)
-
-    p_fpoly = sub.add_parser("fpoly", help="cluster complex face polynomial")
-    p_fpoly.add_argument("type", metavar="TYPE")
-    p_fpoly.add_argument("--json", action="store_true")
-    p_fpoly.add_argument(
+    # the options several subcommands share, each declared once
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+    allow_large = argparse.ArgumentParser(add_help=False)
+    allow_large.add_argument(
         "--allow-large",
         action="store_true",
         help="accepted for compatibility; has no effect, the Catalan budget always holds",
     )
-    p_fpoly.set_defaults(func=cmd_fpoly)
 
-    p_os = sub.add_parser("os-character", help="graded arrangement characters")
-    p_os.add_argument("type", metavar="TYPE")
-    p_os.add_argument("--json", action="store_true")
-    p_os.set_defaults(func=cmd_os_character)
+    def command(name, func, summary, *extra):
+        p = sub.add_parser(name, help=summary, parents=[as_json, *extra])
+        p.set_defaults(func=func)
+        return p
 
-    p_gerst = sub.add_parser("gerst", help="power-sum series pipeline and identities")
+    command("table", cmd_table, "summary table with full-reflection counts").add_argument(
+        "types", nargs="+", metavar="TYPE"
+    )
+    for name, func, summary, *extra in (
+        ("roots", cmd_roots, "positive roots in canonical order"),
+        ("antichains", cmd_antichains, "antichain counts and polynomials"),
+        ("fpoly", cmd_fpoly, "cluster complex face polynomial", allow_large),
+        ("os-character", cmd_os_character, "graded arrangement characters"),
+    ):
+        command(name, func, summary, *extra).add_argument("type", metavar="TYPE")
+    p_gerst = command("gerst", cmd_gerst, "power-sum series pipeline and identities")
     p_gerst.add_argument("--max-degree", type=_positive_int, default=7, metavar="N")
-    p_gerst.add_argument("--json", action="store_true")
-    p_gerst.set_defaults(func=cmd_gerst)
-
-    p_verify = sub.add_parser("verify", help="run a named verification")
+    p_verify = command("verify", cmd_verify, "run a named verification", allow_large)
     p_verify.add_argument("check", choices=CHECK_NAMES + ("all",))
     p_verify.add_argument("type", metavar="TYPE")
-    p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--max-degree", type=_positive_int, default=7, metavar="N")
-    p_verify.add_argument(
-        "--allow-large",
-        action="store_true",
-        help="accepted for compatibility; has no effect, the Catalan budget always holds",
-    )
-    p_verify.set_defaults(func=cmd_verify)
-
     return parser
 
 
@@ -364,7 +319,13 @@ def main(argv: List[str] | None = None) -> int:
     for cached in COMMAND_CACHES:
         cached.cache_clear()
     try:
-        code = args.func(args)
+        code, payload, lines = args.func(args)
+        # the one write to stdout: one JSON line, exact values as text, or the text lines
+        if args.json:
+            print(json.dumps(jsonable(payload), sort_keys=True, separators=(", ", ": ")))
+        else:
+            for line in lines:
+                print(line)
         sys.stdout.flush()
     except UsageError as exc:
         print(f"coxcat: {exc}", file=sys.stderr)

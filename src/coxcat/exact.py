@@ -6,8 +6,9 @@ Polynomials, `UniPoly` (in t, dense) and `BiPoly` (in x, y, sparse), keep
 the scalars they are given, so counts and characters stay `int`.  Each
 combines only with its own type; scalars enter through the constructors.
 Everything is immutable and hashable, so values can be shared freely across
-threads and memo tables.  Counts that never leave the integers are
-multiplied as plain coefficient lists.
+threads and memo tables.  `UniPoly` and the integer coefficient lists of
+the poset and series code share one arithmetic on plain lists, constant
+term first.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import accumulate
 from math import comb
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Union
 
-from .errors import CheckFailed, InternalError, UsageError
+from .errors import InternalError
 
 Scalar = Union[int, Fraction]
 
@@ -42,12 +43,37 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def int_poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Product of two integer coefficient lists, constant term first."""
+def int_poly_mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> List[Scalar]:
+    """Product of two coefficient lists; a zero coefficient of a adds nothing."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def add_scaled(row: List[Scalar], poly: Sequence[Scalar], factor: Scalar) -> None:
+    """row += factor * poly, coefficient by coefficient."""
+    if len(row) < len(poly):
+        row.extend([0] * (len(poly) - len(row)))
+    for i, c in enumerate(poly):
+        # a Fraction times 1 is a new Fraction: UniPoly's + adds as it is
+        row[i] += c if factor == 1 else factor * c
+
+
+def strip_zeros(row: Iterable[Scalar]) -> tuple:
+    """The coefficients with trailing zeros dropped."""
+    row = list(row)
+    while row and row[-1] == 0:
+        row.pop()
+    return tuple(row)
+
+
+def stretch(poly: Sequence[Scalar], d: int) -> List[Scalar]:
+    """The coefficients of p(t**d) from those of p(t)."""
+    out = [0] * (d * (len(poly) - 1) + 1)
+    out[::d] = poly
     return out
 
 
@@ -162,10 +188,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", strip_zeros(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
@@ -185,11 +208,6 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial assigned -1."""
-        return len(self.coeffs) - 1
-
     def coefficient(self, k: int) -> Scalar:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
@@ -198,23 +216,14 @@ class UniPoly:
     def __add__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
+        out = list(self.coeffs)
+        add_scaled(out, other.coeffs, 1)
         return UniPoly(out)
 
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
+        return UniPoly(int_poly_mul(self.coeffs, other.coeffs))
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
@@ -226,44 +235,13 @@ class UniPoly:
 
     def subs_t_power(self, d: int) -> "UniPoly":
         """Substitute t -> t**d."""
-        if d == 1 or self.is_zero():
-            return self
-        out = [0] * (self.degree * d + 1)
-        for k, c in enumerate(self.coeffs):
-            out[k * d] = c
-        return UniPoly(out)
+        return self if d == 1 else UniPoly(stretch(self.coeffs, d))
 
     def to_json(self) -> dict:
         return {"coeffs": [format_rational(c) for c in self.coeffs]}
 
     def __repr__(self):
         return _render_terms(({"t": k}, c) for k, c in enumerate(self.coeffs) if c != 0)
-
-
-def unipoly_divide_exact(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Return p/q when q divides p exactly; raise CheckFailed otherwise."""
-    if q.is_zero():
-        raise UsageError("division by the zero polynomial")
-    if p.is_zero():
-        return UniPoly()
-    rem = list(p.coeffs)
-    qc = q.coeffs
-    dq = len(qc) - 1
-    lead = qc[-1]
-    if len(rem) - 1 < dq:
-        raise CheckFailed(f"{p!r} is not divisible by {q!r}")
-    quot = [0] * (len(rem) - dq)
-    for k in range(len(rem) - 1, dq - 1, -1):
-        c = rem[k]
-        if c == 0:
-            continue
-        f = Fraction(c) / lead
-        quot[k - dq] = f
-        for j in range(dq + 1):
-            rem[k - dq + j] -= f * qc[j]
-    if any(c != 0 for c in rem):
-        raise CheckFailed(f"{p!r} is not divisible by {q!r}")
-    return UniPoly(quot)
 
 
 def divide_one_minus_t(coeffs: Sequence[Scalar]) -> Optional[tuple]:

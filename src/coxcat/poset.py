@@ -22,7 +22,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import kernels
 from .errors import CapacityExceeded, CheckFailed, InternalError, UsageError
-from .exact import BiPoly, command_cache, int_poly_mul
+from .exact import BiPoly, add_scaled, command_cache, int_poly_mul
 from .rootsys import RootSystem, orbit, orbits
 
 # Both antichains and clusters number Cat(W), and this one budget caps both,
@@ -195,8 +195,7 @@ def p_polynomial_mobius(rs: RootSystem) -> BiPoly:
                 factor = [n_poly.coefficient(k) for k in range(len(component) + 1)]
                 narayana[component] = factor
             product = int_poly_mul(product, factor)
-        for k, c in enumerate(product):
-            total[k] += c
+        add_scaled(total, product, 1)
     return BiPoly({(k, 0): c for k, c in enumerate(total)})
 
 

@@ -27,7 +27,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .errors import CheckFailed, InternalError, UsageError
 from .exact import (
-    UniPoly, centralizer_order, command_cache, divide_one_minus_t, int_poly_mul, partitions_of
+    UniPoly, add_scaled, centralizer_order, command_cache, divide_one_minus_t, int_poly_mul,
+    partitions_of, stretch, strip_zeros,
 )
 
 PartitionKey = Tuple[int, ...]
@@ -215,11 +216,9 @@ def _exponent_class_values(lie: ClassValues, truncation: int) -> List[ClassValue
     for lam, poly in lie.items():
         m = sum(lam)
         for k in range(1, truncation // m + 1):
-            stretched = [0] * (k * (len(poly) - 1) + 1)
-            stretched[::k] = poly
             key = tuple(k * part for part in lam)
-            _accumulate(acc[k * m].setdefault(key, []), stretched, k ** (len(lam) - 1))
-    return [{lam: _strip(row) for lam, row in d.items() if any(row)} for d in acc]
+            add_scaled(acc[k * m].setdefault(key, []), stretch(poly, k), k ** (len(lam) - 1))
+    return [{lam: strip_zeros(row) for lam, row in d.items() if any(row)} for d in acc]
 
 
 def _merge(lam: PartitionKey, mu: PartitionKey) -> Tuple[PartitionKey, int]:
@@ -230,21 +229,6 @@ def _merge(lam: PartitionKey, mu: PartitionKey) -> Tuple[PartitionKey, int]:
     for part in set(mu):
         ways *= comb(key.count(part), mu.count(part))
     return key, ways
-
-
-def _accumulate(row: List[int], poly, factor: int) -> None:
-    """row += factor * poly, coefficient by coefficient."""
-    if len(row) < len(poly):
-        row.extend([0] * (len(poly) - len(row)))
-    for i, c in enumerate(poly):
-        row[i] += factor * c
-
-
-def _strip(row) -> IntPoly:
-    row = list(row)
-    while row and row[-1] == 0:
-        row.pop()
-    return tuple(row)
 
 
 def _gerst_class_values(truncation: int, twist: bool) -> List[ClassValues]:
@@ -263,7 +247,7 @@ def _gerst_class_values(truncation: int, twist: bool) -> List[ClassValues]:
             for lam, p in a[j].items():
                 for mu, q in g[n - j].items():
                     key, ways = _merge(lam, mu)
-                    _accumulate(acc.setdefault(key, []), int_poly_mul(p, q), j * ways)
+                    add_scaled(acc.setdefault(key, []), int_poly_mul(p, q), j * ways)
         g_n: ClassValues = {}
         for key, row in acc.items():
             if any(c % n for c in row):
@@ -271,7 +255,7 @@ def _gerst_class_values(truncation: int, twist: bool) -> List[ClassValues]:
                     f"Gerst recurrence: degree-{n} class value at {key} "
                     f"is not divisible by {n}"
                 )
-            poly = _strip(c // n for c in row)
+            poly = strip_zeros(c // n for c in row)
             if poly:
                 g_n[key] = poly
         g.append(g_n)
@@ -435,8 +419,8 @@ def verify_second_derivative_identity(bundle: SeriesBundle, max_degree: int) -> 
             mu = lam[: len(lam) - k]  # the 1-parts come last
             _, ways = _merge(mu, (1,) * k)
             term = int_poly_mul(_inverse_power(2, (1,) * k), one_plus_gerst.get(mu, ()))
-            _accumulate(row, term, ways)
-        return _strip(int_poly_mul((1, -1), row))
+            add_scaled(row, term, ways)
+        return strip_zeros(int_poly_mul((1, -1), row))
 
     _require_equal("second-derivative identity", _d_dp1(bundle.gerst, 2), rhs, max_degree)
     return {"max_degree": max_degree}

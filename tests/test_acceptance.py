@@ -29,7 +29,7 @@ from functools import lru_cache
 import pytest
 
 from coxcat.cluster import f_polynomial, verify_hf_conjecture
-from coxcat.exact import BiPoly, UniPoly, unipoly_divide_exact
+from coxcat.exact import BiPoly, UniPoly
 from coxcat.groups import check_B_lemma, chi_R
 from coxcat.osalgebra import (
     build_os_algebra,
@@ -58,6 +58,7 @@ from coxcat.symfunc import (
     verify_first_derivative_identities,
     verify_second_derivative_identity,
 )
+from references import unipoly_divide_exact
 
 TABLE_TYPES = (
     [f"A{n}" for n in range(1, 9)]

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import coxcat.cli
 from coxcat.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -513,6 +514,63 @@ def test_a_reader_that_closed_stdout_gets_exit_141_and_no_traceback(argv):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (141, b"")
+
+
+# one call per command; each `cmd_*` returns (code, payload, lines) and main writes
+ONE_CALL_EACH = [
+    ("table", "A3", "B3"), ("roots", "H3"), ("antichains", "B3"), ("fpoly", "A3"),
+    ("os-character", "A3"), ("gerst", "--max-degree", "4"), ("verify", "all", "A3"),
+]
+
+
+@pytest.mark.parametrize("argv", ONE_CALL_EACH, ids=" ".join)
+def test_a_command_writes_nothing_and_main_writes_its_lines(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    args = build_parser().parse_args(list(argv))
+    result = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    returned_code, _, lines = result
+    assert returned_code == code
+    assert "".join(f"{line}\n" for line in lines) == out
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv", ONE_CALL_EACH, ids=" ".join)
+def test_a_json_call_formats_no_text(capsys, monkeypatch, argv):
+    from coxcat.exact import BiPoly, UniPoly
+    from coxcat.reports import VerificationReport
+
+    expected = run_cli(capsys, *argv, "--json")
+
+    def refuse(self):
+        raise AssertionError("text formatted under --json")
+
+    for cls, method in [(VerificationReport, "render"), (UniPoly, "__repr__"),
+                        (BiPoly, "__repr__")]:
+        monkeypatch.setattr(cls, method, refuse)
+    assert run_cli(capsys, *argv, "--json") == expected
+
+
+@pytest.mark.parametrize("command", ["table", "roots", "antichains", "fpoly", "os-character",
+                                     "gerst", "verify"])
+def test_every_subcommand_takes_json_and_only_fpoly_and_verify_take_allow_large(command):
+    parser = build_parser()
+    argv = {"table": ["A3"], "gerst": [], "verify": ["all", "A3"]}.get(command, ["A3"])
+    assert parser.parse_args([command, *argv, "--json"]).json is True
+    assert parser.parse_args([command, *argv]).json is False
+    if command in ("fpoly", "verify"):
+        assert parser.parse_args([command, *argv, "--allow-large"]).allow_large is True
+    else:
+        with pytest.raises(SystemExit) as refused:
+            parser.parse_args([command, *argv, "--allow-large"])
+        assert refused.value.code == 2
+
+
+def test_shared_options_are_declared_once():
+    source = Path(coxcat.cli.__file__).read_text()
+    assert source.count('add_argument("--json"') == 1
+    assert source.count('"--allow-large",') == 1
 
 
 # sha256 of stdout and the exit code of each call.  Counts and characters are

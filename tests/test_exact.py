@@ -19,8 +19,8 @@ from coxcat.exact import (
     divide_one_minus_t,
     format_rational,
     partitions_of,
-    unipoly_divide_exact,
 )
+from references import unipoly_divide_exact
 
 PHI = GoldenNumber(0, 1)
 

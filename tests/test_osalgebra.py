@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxcat.errors import CapacityExceeded, CheckFailed
-from coxcat.exact import GoldenNumber, UniPoly, unipoly_divide_exact
+from coxcat.exact import GoldenNumber, UniPoly
 from coxcat.groups import generate_group
 from coxcat.osalgebra import (
     OSAlgebra,
@@ -30,6 +30,7 @@ from coxcat.osalgebra import (
 )
 from coxcat.rootsys import build_root_system, compose, orbit
 from coxcat.symfunc import calibrated_bundle, class_value
+from references import unipoly_divide_exact
 
 ORACLE_TYPES = ("A1", "A2", "A3", "B2", "B3", "I2(5)", "I2(6)", "I2(7)", "I2(8)", "H3")
 

@@ -19,8 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # the names `import coxcat` exports, by defining submodule
 EXPORTS = {
     "errors": ["CapacityExceeded", "CheckFailed", "CoxcatError", "InternalError", "UsageError"],
-    "exact": ["BiPoly", "GoldenNumber", "UniPoly", "bipoly_substitute", "partitions_of",
-              "unipoly_divide_exact"],
+    "exact": ["BiPoly", "GoldenNumber", "UniPoly", "bipoly_substitute", "partitions_of"],
     "rootsys": ["RootSystem", "build_root_system"],
     "poset": ["AntichainTally", "RootPoset", "check_antichain_lemmas", "enumerate_antichains",
               "generalized_catalan", "h_polynomial", "narayana_polynomial",
@@ -198,7 +197,6 @@ UNCALLED_ON_PURPOSE = {
     "compatibility_degree": "a traced benchmark target (perfbench/tracer.py TARGETS)",
     "f_polynomial": "a traced benchmark target (perfbench/tracer.py TARGETS)",
     "check_dihedral": "acceptance criterion 9 asserts its dihedral values",
-    "unipoly_divide_exact": "acceptance criterion 6 divides by it",
 }
 
 

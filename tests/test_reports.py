@@ -3,17 +3,20 @@
 Every passing report is covered by the other modules; here the library
 call behind each check is replaced by one that fails, and the rendering,
 the JSON report and the exit codes of `verify` and `table` are pinned.
+The sensitivity tests at the end instead corrupt one piece of the data a
+check reads, and require the check itself to catch it.
 """
 
 import json
 
 import pytest
 
-from coxcat import cluster, osalgebra, poset, reports, symfunc
+from coxcat import cluster, groups, osalgebra, poset, reports, symfunc
 from coxcat.cli import main
 from coxcat.errors import CheckFailed
-from coxcat.exact import BiPoly, bipoly_substitute
+from coxcat.exact import BiPoly, UniPoly, bipoly_substitute, divide_one_minus_t
 from coxcat.reports import run_all_checks
+from coxcat.rootsys import RootSystem
 
 
 def run_cli(capsys, *argv):
@@ -213,3 +216,82 @@ def test_every_report_names_the_canonical_label(capsys, spelling):
     code, out, _ = run_cli(capsys, "verify", "all", spelling, "--json")
     assert code == 0
     assert [r["type"] for r in json.loads(out)["reports"]] == ["E6"] * 8
+
+
+# -- sensitivity: one corrupted datum turns each check to FAIL -----------------
+
+
+def _failing_witnesses(capsys, check, label):
+    """The witnesses of `verify check label`, which must fail with exit 1."""
+    code, out, err = run_cli(capsys, "verify", check, label, "--json")
+    (report,) = json.loads(out)["reports"]
+    assert (code, err, report["status"]) == (1, "", "fail"), out
+    text_code, text, _ = run_cli(capsys, "verify", check, label)
+    assert text_code == 1 and text.startswith(f"[FAIL] {check} {label}\n"), text
+    return report["witnesses"]
+
+
+@pytest.mark.parametrize("label", ["A3", "H3"])
+def test_main_catches_a_character_off_by_one_minus_t(capsys, monkeypatch, label):
+    original = osalgebra.os_graded_character
+
+    def corrupted(rs):
+        gc = original(rs)
+        # the first non-identity class the root character sees: chi_R != 0 there
+        index = next(i for i, r in enumerate(groups.chi_R(rs, gc.classes)) if i and r)
+        chars = list(gc.chars)
+        chars[index] = chars[index] + UniPoly((1, -1))
+        # still divisible by 1 - t, so only the class-by-class identity can object
+        assert divide_one_minus_t(chars[index].coeffs) is not None
+        return gc._replace(chars=tuple(chars))
+
+    monkeypatch.setattr(osalgebra, "os_graded_character", corrupted)
+    (witness,) = _failing_witnesses(capsys, "main", label)
+    assert witness.startswith(f"{label} class ") and " chi_R*chi_G' = " in witness, witness
+    assert witness.endswith(" != 0"), witness
+
+
+def test_b_lemmas_catch_a_class_label_with_its_signs_swapped(capsys, monkeypatch):
+    original = groups.generate_group
+
+    def corrupted(rs):
+        classes = list(original(rs))
+        # the first class whose short-cycle verdict the swap changes
+        index, swapped = next(
+            (i, (negative, positive))
+            for i, c in enumerate(classes)
+            for positive, negative in [c.label]
+            if groups.has_positive_short_cycle((negative, positive))
+            != groups.has_positive_short_cycle(c.label)
+        )
+        classes[index] = classes[index]._replace(label=swapped)
+        return tuple(classes)
+
+    monkeypatch.setattr(groups, "generate_group", corrupted)
+    (witness,) = _failing_witnesses(capsys, "b-lemmas", "B3")
+    assert witness.startswith("B3 class ") and ", positive 1/2-cycle = " in witness, witness
+
+
+@pytest.mark.parametrize("label", ["A3", "D4"])
+def test_p_mobius_catches_one_antichain_too_many_in_a_parabolic(capsys, monkeypatch, label):
+    original = poset.enumerate_antichains
+
+    def corrupted(rs, nodes=None):
+        tally = original(rs) if nodes is None else original(rs, nodes)
+        if nodes == frozenset({0}):
+            # one more antichain of one root in the rank-1 parabolic on node 0
+            return tally._replace(counts=tally.counts + (((1, 1, 0), 1),))
+        return tally
+
+    monkeypatch.setattr(poset, "enumerate_antichains", corrupted)
+    (witness,) = _failing_witnesses(capsys, "p-mobius", label)
+    assert witness.startswith("direct ") and " != inclusion-exclusion " in witness, witness
+
+
+def test_formula_catches_a_full_reflection_count_one_too_high(capsys, monkeypatch):
+    original = RootSystem.full_reflection_count
+    monkeypatch.setattr(RootSystem, "full_reflection_count", lambda rs: original(rs) + 1)
+    assert _failing_witnesses(capsys, "formula", "A3") == [
+        "counted 2 != formula value 1/1",
+        "counted 2 != closed form 1",
+    ]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import coxcat.symfunc as symfunc
 from coxcat.errors import CheckFailed, InternalError
-from coxcat.exact import UniPoly, int_poly_mul, partitions_of, unipoly_divide_exact
+from coxcat.exact import UniPoly, add_scaled, int_poly_mul, partitions_of, strip_zeros
 from coxcat.groups import chi_R, generate_group
 from coxcat.osalgebra import os_graded_character
 from coxcat.rootsys import build_root_system
@@ -27,6 +27,7 @@ from coxcat.symfunc import (
     verify_second_derivative_identity,
     verify_type_A_conjecture,
 )
+from references import unipoly_divide_exact
 
 NVARS = 6
 HALF = UniPoly.constant(Fraction(1, 2))
@@ -215,8 +216,8 @@ def passes(check, bundle, max_degree):
 def with_added(values, lam, delta):
     """A copy of the class values with delta added to the value on lam."""
     row = list(values.get(lam, ()))
-    symfunc._accumulate(row, delta, 1)
-    return {**values, lam: symfunc._strip(row)}
+    add_scaled(row, delta, 1)
+    return {**values, lam: strip_zeros(row)}
 
 
 def test_plethysm_on_generators():
@@ -547,7 +548,7 @@ def class_value_product(f, g, truncation):
             if sum(lam) + sum(mu) <= truncation:
                 key, ways = symfunc._merge(lam, mu)
                 product = int_poly_mul(p_values, q_values)
-                symfunc._accumulate(acc.setdefault(key, []), product, ways)
+                add_scaled(acc.setdefault(key, []), product, ways)
     return {lam: tuple(row) for lam, row in acc.items()}
 
 
