@@ -4,10 +4,10 @@ An element is the tuple g with g[x] = index of the image of root x, over
 all 2N roots (positives first, negative of positive j at N + j), and
 elements multiply by rootsys.compose.  A group is the orbit of the
 identity under the simple reflections; conjugacy classes are found by
-orbit partition under conjugation by the generators, and class labels
-from the cycles, again orbits, of a (signed) permutation.  W itself is
-walked, not kept: only its class table, one (rep, size, label) per class,
-outlives generate_group.
+orbit partition under conjugation by the generators, and the A and B class
+labels from the cycles, again orbits, of the signed permutation an element
+makes of the coordinates.  W itself is walked, not kept: only its class
+table, one (rep, size, label) per class, outlives generate_group.
 A group whose element table, |W| tables of 2N entries, exceeds the group
 budget is refused before any element is built.
 """
@@ -15,7 +15,7 @@ budget is refused before any element is built.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapacityExceeded, CheckFailed, InternalError, UsageError
 from .exact import command_cache
@@ -80,7 +80,7 @@ def _conjugacy_classes(rs: RootSystem, elements: list) -> Tuple[ConjugacyClass, 
     )
 
 
-def chi_R(rs: RootSystem, classes: Sequence[ConjugacyClass]) -> List[int]:
+def chi_R(classes: Sequence[ConjugacyClass]) -> List[int]:
     """Character of the permutation action on roots: fixed-point counts."""
     return [sum(1 for x, y in enumerate(c.rep) if x == y) for c in classes]
 
@@ -90,44 +90,32 @@ def chi_R(rs: RootSystem, classes: Sequence[ConjugacyClass]) -> List[int]:
 
 def _class_label(rs: RootSystem, rep: tuple):
     if rs.family == "A":
-        return _cycle_type_a(rs, rep)
+        return signed_cycle_type(rs, rep)[0]
     if rs.family == "B":
         return signed_cycle_type(rs, rep)
     return None
 
 
-def _letter_pairs(rs: RootSystem) -> Dict[int, tuple]:
-    """Type A: map root index -> ordered letter pair (i, j), root = e_i - e_j.
+def signed_coordinates(rs: RootSystem, g: tuple) -> List[Tuple[int, int]]:
+    """The signed permutation g makes of the coordinates: the image of
+    each coordinate as (target index, sign).
 
-    Positive roots of A_n have interval support [a..b], corresponding to the
-    pair (a, b+1) in the letters 0..n.
+    Type A: the letters 0..n, where e_a - e_b (a < b) is the positive root
+    of interval support [a..b-1].  Letter a goes to the first letter of the
+    image of alpha_a = e_a - e_(a+1), and letter n to that of e_n - e_0,
+    the negated highest root.
+    Type B: e_1..e_n, the short roots alpha_i + ... + alpha_n.
     """
-    pairs = {}
-    for j, support in enumerate(rs.supports):
-        a, b = min(support), max(support)
-        pairs[j] = (a, b + 1)
-        pairs[rs.neg(j)] = (b + 1, a)
-    return pairs
-
-
-def permutation_of_letters(rs: RootSystem, g: tuple) -> tuple:
-    """Type A: recover the permutation of the n+1 letters from the root action."""
-    if rs.family != "A":
-        raise UsageError("letter permutations only exist for type A")
-    pairs = _letter_pairs(rs)
-    index_of = {pair: x for x, pair in pairs.items()}
-    n_letters = rs.rank + 1
-    image = [None] * n_letters
-    for a in range(n_letters):
-        b = (a + 1) % n_letters
-        x = index_of[(a, b)]
-        image[a] = pairs[g[x]][0]
-    return tuple(image)
-
-
-def _cycle_type_a(rs: RootSystem, rep: tuple) -> tuple:
-    perm = permutation_of_letters(rs, rep)
-    return _signed_cycles([(y, 1) for y in perm])[0]
+    if rs.family == "A":
+        first = [min(s) for s in rs.supports] + [max(s) + 1 for s in rs.supports]
+        return [(first[g[x]], 1) for x in rs.simple_positions + (rs.neg(rs.n_positive - 1),)]
+    if rs.family != "B":
+        raise UsageError("signed permutations only exist for type B")
+    n = rs.rank
+    coords = [rs.root_index((0,) * i + (1,) * (n - i)) for i in range(n)]
+    place = {x: (i, 1) for i, x in enumerate(coords)}
+    place.update({rs.neg(x): (i, -1) for i, x in enumerate(coords)})
+    return [place[g[x]] for x in coords]
 
 
 def _signed_cycles(images: Sequence[Tuple[int, int]]) -> Tuple[tuple, tuple]:
@@ -140,32 +128,9 @@ def _signed_cycles(images: Sequence[Tuple[int, int]]) -> Tuple[tuple, tuple]:
     return tuple(sorted(positive, reverse=True)), tuple(sorted(negative, reverse=True))
 
 
-def _coordinate_roots(rs: RootSystem) -> List[int]:
-    """Type B: positive-root indices of the short roots e_1..e_n, in order.
-
-    e_i = alpha_i + ... + alpha_n in simple-root coordinates.
-    """
-    n = rs.rank
-    out = []
-    for i in range(n):
-        coords = tuple(0 if j < i else 1 for j in range(n))
-        out.append(rs.root_index(coords))
-    return out
-
-
-def signed_permutation(rs: RootSystem, g: tuple) -> List[Tuple[int, int]]:
-    """Type B: the image of each e_i as (target index, sign)."""
-    if rs.family != "B":
-        raise UsageError("signed permutations only exist for type B")
-    coord = _coordinate_roots(rs)
-    place = {x: (i, 1) for i, x in enumerate(coord)}
-    place.update({rs.neg(x): (i, -1) for i, x in enumerate(coord)})
-    return [place[g[x]] for x in coord]
-
-
 def signed_cycle_type(rs: RootSystem, g: tuple) -> Tuple[tuple, tuple]:
     """Cycle lengths split by the product of signs around each cycle."""
-    return _signed_cycles(signed_permutation(rs, g))
+    return _signed_cycles(signed_coordinates(rs, g))
 
 
 def has_positive_short_cycle(label: Tuple[tuple, tuple]) -> bool:
@@ -179,7 +144,7 @@ def check_B_lemma(rs: RootSystem) -> dict:
     if rs.family != "B":
         raise UsageError(f"{rs.label}: the signed-cycle lemma is about type B")
     classes = generate_group(rs)
-    for cls, value in zip(classes, chi_R(rs, classes)):
+    for cls, value in zip(classes, chi_R(classes)):
         expected = has_positive_short_cycle(cls.label)
         if (value != 0) != expected:
             raise CheckFailed(

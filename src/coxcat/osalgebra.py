@@ -386,7 +386,7 @@ def verify_main_conjecture(rs: RootSystem) -> dict:
     f_count = rs.full_reflection_count()
     sign = (-1) ** (rs.rank - 1)
     for index, (cls, r_val, gp_val) in enumerate(
-        zip(gc.classes, chi_R(rs, gc.classes), g_prime_character(gc))
+        zip(gc.classes, chi_R(gc.classes), g_prime_character(gc))
     ):
         lhs = r_val * gp_val
         # chi_Reg is |W| on class 0, the identity, and 0 on every other class
@@ -400,10 +400,8 @@ def verify_main_conjecture(rs: RootSystem) -> dict:
 
 def check_dimension_identity(rs: RootSystem) -> dict:
     """Identity-class instance: n h prod(e_i - 1) = f_W |W|, from exponents."""
-    prod = 1
-    for e in rs.exponents[1:]:
-        prod *= e - 1
-    lhs = rs.rank * rs.coxeter_number * prod
+    # the formula value is n h prod(e_i - 1) / |W|
+    lhs = int(rs.formula_value() * rs.order)
     rhs = rs.full_reflection_count() * rs.order
     if lhs != rhs:
         raise CheckFailed(f"{rs.label}: n h prod(e-1) = {lhs} != f|W| = {rhs}")
@@ -464,7 +462,7 @@ def check_dihedral(rs: RootSystem) -> dict:
     chi_gp = g_prime_character(gc)
     report: dict = {"m": m, "odd": m % 2 == 1, "reflections": []}
     if m % 2 == 1:
-        for index, (cls, val) in enumerate(zip(gc.classes, chi_R(rs, gc.classes))):
+        for index, (cls, val) in enumerate(zip(gc.classes, chi_R(gc.classes))):
             expected = rs.order if index == 0 else 0
             if val != expected:
                 raise CheckFailed(

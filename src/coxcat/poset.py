@@ -23,7 +23,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 from . import kernels
 from .errors import CapacityExceeded, CheckFailed, InternalError, UsageError
 from .exact import BiPoly, add_scaled, command_cache, int_poly_mul
-from .rootsys import RootSystem, orbit, orbits
+from .rootsys import RootSystem, orbits
 
 # Both antichains and clusters number Cat(W), and this one budget caps both,
 # with no override.  Every exceptional type fits (Cat(E8) = 25,080), and so
@@ -171,18 +171,22 @@ def p_polynomial_mobius(rs: RootSystem) -> BiPoly:
     For each subset E of diagram edges, the antichains supported inside
     (nodes, E) split over the connected components, each a standard parabolic,
     so their Narayana polynomials multiply.  Every term is a count, so the
-    sum runs over integer coefficient lists, one per distinct component.
+    sum runs over integer coefficient lists, one per distinct Cartan
+    submatrix of a component.
     """
     edges = list(rs.edges)
     n_edges = len(edges)
-    narayana: Dict[frozenset, list] = {}
+    narayana: Dict[tuple, list] = {}
     total = [0] * (rs.rank + 1)
     for picked in range(1 << n_edges):
         subset = [edges[i] for i in range(n_edges) if (picked >> i) & 1]
         sign = (-1) ** (n_edges - len(subset))
         product = [sign]
         for component in _components(rs.rank, subset):
-            factor = narayana.get(component)
+            # a parabolic's root poset depends only on its Cartan submatrix in node order
+            nodes = sorted(component)
+            key = tuple(rs.cartan[i][j] for i in nodes for j in nodes)
+            factor = narayana.get(key)
             if factor is None:
                 # the whole diagram is the full poset: call it with the same
                 # arguments as every other caller, so the cached tally is shared
@@ -193,7 +197,7 @@ def p_polynomial_mobius(rs: RootSystem) -> BiPoly:
                 )
                 n_poly = narayana_polynomial(tally)
                 factor = [n_poly.coefficient(k) for k in range(len(component) + 1)]
-                narayana[component] = factor
+                narayana[key] = factor
             product = int_poly_mul(product, factor)
         add_scaled(total, product, 1)
     return BiPoly({(k, 0): c for k, c in enumerate(total)})
@@ -289,18 +293,21 @@ def _witness(poset: RootPoset, predicate) -> Optional[tuple]:
 
     Antichains (tuples of local indices) grow by a member of higher index
     than the last, so the walk meets each once, cardinality by cardinality,
-    each cardinality in lexicographic order.
+    each cardinality in lexicographic order.  A cardinality is tested
+    before the next is grown, so the walk stops at the first match.
     """
 
-    def grow(state):
-        antichain, cand = state
+    def grow(antichain, cand):
         while cand:
             low = cand & -cand
             b = low.bit_length() - 1
             cand ^= low
             yield antichain + (b,), cand & poset.incomparable[b]
 
-    for antichain, _ in orbit([((), (1 << poset.size) - 1)], grow):
-        if predicate(antichain):
-            return tuple(poset.root_ids[a] for a in antichain)
+    level = [((), (1 << poset.size) - 1)]
+    while level:
+        for antichain, _ in level:
+            if predicate(antichain):
+                return tuple(poset.root_ids[a] for a in antichain)
+        level = [grown for state in level for grown in grow(*state)]
     return None

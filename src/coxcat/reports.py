@@ -108,9 +108,10 @@ def _not_applicable(report: VerificationReport, why: str) -> None:
     report.details["note"] = f"not applicable: {why}"
 
 
-def run_check(check: str, label: str, *, max_degree: int = 7) -> VerificationReport:
+def run_check(check: str, label: Optional[str] = None, *, max_degree: int = 7) -> VerificationReport:
     """Run one named verification against one type and report the outcome.
 
+    With no label no root system is built, and the report's type is "-".
     A `CheckFailed` raised by the check becomes its witness; preconditions
     (unknown labels, capacity limits) raise instead, so the caller can map
     them to a usage error.
@@ -120,8 +121,8 @@ def run_check(check: str, label: str, *, max_degree: int = 7) -> VerificationRep
     from .rootsys import build_root_system
 
     started = time.perf_counter()
-    rs = build_root_system(label)
-    report = VerificationReport(check, rs.label)
+    rs = None if label is None else build_root_system(label)
+    report = VerificationReport(check, "-" if rs is None else rs.label)
     try:
         _RUNNERS[check](rs, report, max_degree)
     except CheckFailed as exc:

@@ -17,8 +17,8 @@ construction and safe to share across threads.
 
 That closure is one `orbit` (all that moves reach from some seeds), and
 `orbits` splits a set into orbits, yielded one at a time; the group elements
-and classes, flats, diagram components, cycles and antichain witnesses of
-the other modules all come from these two.  Tables are multiplied by
+and classes, flats, diagram components and cycles of the other modules all
+come from these two.  Tables are multiplied by
 `compose` alone: the group elements and their conjugates, and the cluster
 complex's rotations.
 """

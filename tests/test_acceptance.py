@@ -261,7 +261,7 @@ def test_criterion_09_dihedral_quotient_traces():
         rs = rs_for(label)
         gc = os_graded_character(rs)
         chi_gp = g_prime_character(gc)
-        chi_r = chi_R(rs, gc.classes)
+        chi_r = chi_R(gc.classes)
         indices = reflection_class_indices(rs, gc.classes)
         reported = check_dihedral(rs)["reflections"]
         if len(indices) != expected["classes"] or len(reported) != len(indices):

@@ -406,6 +406,28 @@ def test_gerst_text_output(capsys):
     assert "[PASS] bonzero -" in out
 
 
+def test_gerst_runs_its_checks_with_no_root_system(capsys, monkeypatch):
+    import coxcat.rootsys as rootsys
+
+    build = rootsys.build_root_system
+    built_by_run_check = []
+
+    def recording_build(label):
+        # the S_2-S_4 calibration oracles build type-A systems of their own
+        if sys._getframe(1).f_code.co_name == "run_check":
+            built_by_run_check.append(label)
+        return build(label)
+
+    monkeypatch.setattr(rootsys, "build_root_system", recording_build)
+    code, out, _ = run_cli(capsys, "gerst", "--max-degree", "3", "--json")
+    assert code == 0
+    assert built_by_run_check == []
+    assert [(c["check"], c["type"]) for c in json.loads(out)["checks"]] == [
+        ("gerst", "-"),
+        ("bonzero", "-"),
+    ]
+
+
 def test_rationals_never_rendered_as_floats(capsys):
     for argv in (("verify", "all", "B2", "--json"), ("os-character", "I2(6)", "--json"),
                  ("gerst", "--max-degree", "4", "--json")):

@@ -11,10 +11,10 @@ from coxcat.groups import (
     chi_R,
     generate_group,
     has_positive_short_cycle,
-    permutation_of_letters,
     signed_cycle_type,
 )
 from coxcat.rootsys import build_root_system, compose, orbit
+from references import permutation_of_letters, reference_class_label, signed_permutation
 
 
 def walked_elements(rs):
@@ -128,12 +128,12 @@ def test_too_large_group_rejected():
 def test_chi_r_values():
     rs = build_root_system("A2")
     classes = generate_group(rs)
-    values = dict(zip((c.label for c in classes), chi_R(rs, classes)))
+    values = dict(zip((c.label for c in classes), chi_R(classes)))
     assert values == {(1, 1, 1): 6, (2, 1): 0, (3,): 0}
 
     rs = build_root_system("A3")
     classes = generate_group(rs)
-    values = dict(zip((c.label for c in classes), chi_R(rs, classes)))
+    values = dict(zip((c.label for c in classes), chi_R(classes)))
     assert values[(1, 1, 1, 1)] == 12
     assert values[(2, 1, 1)] == 2
     assert values[(2, 2)] == 0
@@ -141,7 +141,7 @@ def test_chi_r_values():
     assert values[(4,)] == 0
 
     rs = build_root_system("B2")
-    assert chi_R(rs, generate_group(rs))[0] == 8
+    assert chi_R(generate_group(rs))[0] == 8
 
 
 def test_type_a_labels_are_cycle_types_with_correct_class_sizes():
@@ -206,6 +206,59 @@ def test_b_lemma_rejects_other_families():
         check_B_lemma(rs)
 
 
+# -- the one coordinate reader against the two it replaced ---------------------
+
+
+def reference_coordinates(rs, g):
+    """The signed permutation of the coordinates, as the replaced readers gave it."""
+    if rs.family == "A":
+        return [(y, 1) for y in permutation_of_letters(rs, g)]
+    return signed_permutation(rs, g)
+
+
+@pytest.mark.parametrize("label", [f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 6)])
+def test_coordinate_reader_matches_the_replaced_readers_on_every_element(label):
+    rs = build_root_system(label)
+    for g in walked_elements(rs):
+        assert groups.signed_coordinates(rs, g) == reference_coordinates(rs, g), g
+        assert groups._class_label(rs, g) == reference_class_label(rs, g), g
+
+
+@pytest.mark.parametrize("label", ["A7", "B6"])
+def test_class_table_labels_match_the_replaced_readers(label):
+    rs = build_root_system(label)
+    classes = generate_group(rs)
+    assert [c.label for c in classes] == [reference_class_label(rs, c.rep) for c in classes]
+
+
+def test_a_sign_flipped_in_the_b_map_is_caught(monkeypatch):
+    rs = build_root_system("B3")
+    reader = groups.signed_coordinates
+
+    def flipped(rs_arg, g):
+        # the image of e_1 with its sign turned
+        (target, sign), *rest = reader(rs_arg, g)
+        return [(target, -sign), *rest]
+
+    monkeypatch.setattr(groups, "signed_coordinates", flipped)
+    assert any(
+        groups._class_label(rs, g) != reference_class_label(rs, g) for g in walked_elements(rs)
+    )
+
+
+@pytest.mark.parametrize("label", ["C3", "D4", "E6", "F4", "G2", "H3", "I2(5)"])
+def test_signed_cycle_type_refuses_families_other_than_a_and_b(label):
+    rs = build_root_system(label)
+    with pytest.raises(UsageError, match=r"^signed permutations only exist for type B$"):
+        signed_cycle_type(rs, rs.identity_table())
+
+
+def test_type_a_signed_cycle_type_is_the_cycle_type_with_no_negative_cycles():
+    rs = build_root_system("A3")
+    for cls in generate_group(rs):
+        assert signed_cycle_type(rs, cls.rep) == (cls.label, ())
+
+
 # every non-dihedral type with |W| * 2N <= 1,000,000, and the dihedral types up
 # to I2(128)
 GROUP_CAP_TYPES = (
@@ -241,7 +294,7 @@ def test_dihedral_odd_root_action_is_regular():
     for m in (5, 7):
         rs = build_root_system(f"I2({m})")
         classes = generate_group(rs)
-        values = chi_R(rs, classes)
+        values = chi_R(classes)
         for cls, value in zip(classes, values):
             expected = len(walked_elements(rs)) if cls.rep == rs.identity_table() else 0
             assert value == expected

@@ -16,13 +16,7 @@ import coxcat.poset as poset_module
 from coxcat.cluster import _bipartition
 from coxcat.errors import CheckFailed, InternalError
 from coxcat.exact import GoldenNumber
-from coxcat.groups import (
-    _cycle_type_a,
-    generate_group,
-    permutation_of_letters,
-    signed_cycle_type,
-    signed_permutation,
-)
+from coxcat.groups import generate_group, signed_cycle_type
 from coxcat.osalgebra import _image, _indices, flat_lattice, hyperplane_map
 from coxcat.poset import (
     RootPoset,
@@ -40,6 +34,7 @@ from coxcat.rootsys import (
     orbit,
     orbits,
 )
+from references import _cycle_type_a, permutation_of_letters, signed_permutation
 
 ROOT = Path(__file__).resolve().parents[1]
 KNOWN_LABELS = sorted(runpy.run_path(str(ROOT / "perfbench" / "known_answers.py"))["TYPES"])

@@ -1,6 +1,7 @@
 """Root poset antichains and the N, H, P polynomials."""
 
 import itertools
+import re
 from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
@@ -23,6 +24,7 @@ from coxcat.poset import (
     p_polynomial_mobius,
 )
 from coxcat.rootsys import build_root_system
+from references import p_polynomial_mobius_by_nodes
 
 CRYSTALLOGRAPHIC_RANK_LE_8 = (
     ["A%d" % n for n in range(1, 9)]
@@ -140,10 +142,11 @@ def test_full_poset_is_tallied_once_per_command(monkeypatch):
     monkeypatch.setattr(poset, "RootPoset", counting_root_poset)
     for check in ("antichain-lemmas", "p-mobius", "hf"):
         assert run_check(check, "B3").passed
-    # one full poset, and each proper parabolic (a path of one or two nodes) once
+    # one full poset, and each proper parabolic's Cartan submatrix once: the
+    # three single nodes share A1's, and the two-node paths are A2 and B2
     assert built.count(None) == 1
     assert len(built) == len(set(built))
-    assert sorted(len(nodes) for nodes in built if nodes) == [1, 1, 1, 2, 2]
+    assert sorted(len(nodes) for nodes in built if nodes) == [1, 2, 2]
 
 
 def test_failed_lemma_builds_the_poset_for_its_witness(monkeypatch):
@@ -160,6 +163,73 @@ def test_failed_lemma_builds_the_poset_for_its_witness(monkeypatch):
     monkeypatch.setattr(poset, "enumerate_antichains", lambda rs_arg: broken)
     with pytest.raises(CheckFailed, match=r"^\(a\) maximal antichains .*: witness None$"):
         check_antichain_lemmas(rs)
+
+
+def planted_top_cardinality(tally, top):
+    """The tally with every antichain above cardinality top dropped."""
+    return tally._replace(counts=tuple(row for row in tally.counts if row[0][0] <= top))
+
+
+@pytest.mark.parametrize("label", ["D5", "E6", "E7"])
+def test_a_clause_a_witness_ends_the_walk_at_its_cardinality(label, monkeypatch):
+    import coxcat.poset as poset
+
+    rs = build_root_system(label)
+    true_tally = enumerate_antichains(rs)
+    reads = []
+
+    class CountingReads(list):
+        def __getitem__(self, b):
+            reads.append(b)
+            return super().__getitem__(b)
+
+    def counting_root_poset(rs_arg, nodes=None):
+        built = RootPoset(rs_arg, nodes)
+        built.incomparable = CountingReads(built.incomparable)
+        return built
+
+    monkeypatch.setattr(poset, "RootPoset", counting_root_poset)
+    for top in (rs.rank - 1, 2):
+        # the largest antichains now have cardinality top, and the first of
+        # them, the first top simple roots, is the witness
+        broken = planted_top_cardinality(true_tally, top)
+        monkeypatch.setattr(poset, "enumerate_antichains", lambda rs_arg: broken)
+        reads.clear()
+        witness = tuple(range(top))
+        with pytest.raises(CheckFailed, match=rf"^\(a\) .*: witness {re.escape(str(witness))}$"):
+            check_antichain_lemmas(rs)
+        # each antichain but the empty one is grown by one read of its new member
+        visited = 1 + len(reads)
+        assert visited == sum(c for (k, _, _), c in true_tally.counts if k <= top)
+        assert visited < generalized_catalan(rs)
+
+
+@pytest.mark.parametrize("label", BUDGET_TYPES)
+def test_cartan_keyed_p_matches_the_node_keyed_table(label):
+    rs = build_root_system(label)
+    mobius = p_polynomial_mobius(rs)
+    reference = p_polynomial_mobius_by_nodes(rs)
+    assert mobius == reference
+    assert mobius.to_json() == reference.to_json()
+
+
+# B3: A1, A2 and B2.  D8: the paths A1-A7 and, through the branch node, the
+# node-ordered A3 and D4-D7.  E8's 43 proper components have 16 submatrices.
+@pytest.mark.parametrize("label, proper", [("B3", 3), ("E8", 16), ("D8", 12)])
+def test_p_mobius_tallies_each_proper_cartan_submatrix_once(label, proper, monkeypatch):
+    import coxcat.poset as poset
+
+    enumerate_antichains.cache_clear()
+    built = []
+
+    def counting_root_poset(rs_arg, nodes=None):
+        built.append(nodes)
+        return RootPoset(rs_arg, nodes)
+
+    monkeypatch.setattr(poset, "RootPoset", counting_root_poset)
+    p_polynomial_mobius(build_root_system(label))
+    assert built.count(None) == 1
+    assert len(built) - 1 == proper
 
 
 def test_narayana_and_p_are_palindromic():

@@ -238,7 +238,7 @@ def test_main_catches_a_character_off_by_one_minus_t(capsys, monkeypatch, label)
     def corrupted(rs):
         gc = original(rs)
         # the first non-identity class the root character sees: chi_R != 0 there
-        index = next(i for i, r in enumerate(groups.chi_R(rs, gc.classes)) if i and r)
+        index = next(i for i, r in enumerate(groups.chi_R(gc.classes)) if i and r)
         chars = list(gc.chars)
         chars[index] = chars[index] + UniPoly((1, -1))
         # still divisible by 1 - t, so only the class-by-class identity can object
@@ -295,3 +295,21 @@ def test_formula_catches_a_full_reflection_count_one_too_high(capsys, monkeypatc
         "counted 2 != formula value 1/1",
         "counted 2 != closed form 1",
     ]
+
+
+def test_a_check_run_with_no_label_reports_type_dash():
+    report = reports.run_check("bonzero", max_degree=3)
+    assert report.passed
+    assert report.type_label == "-"
+    assert report.to_json()["type"] == "-"
+    assert report.render().startswith("[PASS] bonzero -\n")
+
+
+def test_the_dimension_identity_reports_an_integer_left_side():
+    from coxcat.rootsys import build_root_system
+
+    for label in ("A3", "B4", "E8", "H4", "I2(7)"):
+        rs = build_root_system(label)
+        lhs = osalgebra.check_dimension_identity(rs)["lhs"]
+        assert type(lhs) is int
+        assert lhs == rs.full_reflection_count() * rs.order

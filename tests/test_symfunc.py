@@ -578,7 +578,7 @@ def test_chi_r_typeA_values():
 def test_chi_r_typeA_matches_root_action_characters(n):
     rs = build_root_system(f"A{n - 1}")
     classes = generate_group(rs)
-    values = chi_R(rs, classes)
+    values = chi_R(classes)
     assert len(classes) == len(list(partitions_of(n)))
     for cls, val in zip(classes, values):
         assert val == chi_R_typeA(cls.label)
